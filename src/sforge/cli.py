@@ -33,11 +33,13 @@ from .tower import (
 )
 from .words import (
     Context,
+    RankTooSmall,
     check_relation_instance,
     commutator,
     exhaustive_relation_grid,
     gen,
     random_relation_indices,
+    require_blocks,
     st_eval,
 )
 
@@ -62,6 +64,18 @@ _FAULTS = {
 
 class ConfigError(SforgeError):
     """The config file is missing, malformed, or inconsistent."""
+
+
+def _check_int(value, what, least=None):
+    """value, if it is an integer of at least `least`; JSON true and false
+    are not integers here, though Python's bool is a subclass of int."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or (least is not None and value < least)
+    ):
+        raise ConfigError("%s, got %s" % (what, json.dumps(value)))
+    return value
 
 
 class InstanceConfig:
@@ -115,17 +129,15 @@ class InstanceConfig:
             except (ValueError, TypeError) as exc:
                 raise ConfigError("bad scale element: %s" % exc)
 
-        k_max = raw.get("k_max", 6)
-        if not isinstance(k_max, int) or k_max < 0:
-            raise ConfigError("k_max must be a nonnegative integer")
+        k_max = _check_int(
+            raw.get("k_max", 6), "k_max must be a nonnegative integer", 0
+        )
         if samples is None:
             samples = raw.get("samples", 200)
-        if not isinstance(samples, int) or samples < 1:
-            raise ConfigError("samples must be a positive integer")
+        _check_int(samples, "samples must be a positive integer", 1)
         if seed is None:
             seed = raw.get("seed", 0)
-        if not isinstance(seed, int):
-            raise ConfigError("seed must be an integer")
+        _check_int(seed, "seed must be an integer")
         system = raw.get("system", "plain")
         if system not in ("plain", "homotope"):
             raise ConfigError("system must be 'plain' or 'homotope'")
@@ -169,6 +181,7 @@ def _require_family(cfg, command):
 
 def cmd_relations(cfg, args):
     fam = _require_family(cfg, "relations")
+    require_blocks(fam, 2, "the relation suite")  # samples two distinct labels
     rng = random.Random(cfg.seed)
     alg = fam.algebra
     n = len(list(fam.labels()))
@@ -301,7 +314,11 @@ def cmd_tower(cfg, args):
         suites["note"] = "level budget 0: equivalences reported as inconclusive only"
         return suites, violations, warnings
 
-    nat = split_naturality_suite(tower, rng, samples=min(cfg.samples, 50))
+    try:
+        nat = split_naturality_suite(tower, rng, samples=min(cfg.samples, 50))
+    except RankTooSmall as exc:
+        nat = {"checked": 0, "violations": 0}
+        warnings.append("split_naturality skipped: %s" % exc)
     suites["split_naturality"] = nat
     violations += nat["violations"]
 
@@ -386,7 +403,8 @@ def main(argv=None):
         started = time.perf_counter()
         suites, violations, warnings = _HANDLERS[args.command](cfg, args)
         elapsed = time.perf_counter() - started
-    except ConfigError as exc:
+    except (ConfigError, RankTooSmall) as exc:
+        # too few blocks for the command is a property of the config
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except SforgeError as exc:

@@ -21,13 +21,13 @@ from .rings import SforgeError
 from .words import (
     Context,
     DiagonalElement,
-    RankTooSmall,
     Word,
     commutator,
     diag_act,
     express_as_commutators,
     gen,
     random_word,
+    require_blocks,
     st_eval,
     u_normal_form,
 )
@@ -100,8 +100,7 @@ def ad_commutator_path(action, g, i, k, c, j=None):
     default) and each pair contributes one y-commutator.
     """
     fam = action.family
-    if fam.n < 3:
-        raise RankTooSmall("commutator path needs at least 3 blocks")
+    require_blocks(fam, 3, "the commutator path")
     if j is None:
         j = min(t for t in fam.labels() if t not in (i, k))
     if j in (i, k):
@@ -150,7 +149,9 @@ def crossed_module_verify(fam, rng, samples=200, fault=None, word_length=2):
     the direct and commutator paths on generators for every auxiliary
     block; and the normality witness that conjugated transvections stay
     elementary.  fault="drop-diagonal" corrupts the lift on purpose.
+    Needs two blocks: every sample draws two distinct labels.
     """
+    require_blocks(fam, 2, "the crossed-module suite")
     alg = fam.algebra
     ctx = Context(fam)
     action = CrossedModuleAction(fam, drop_diagonal=(fault == "drop-diagonal"))

@@ -58,19 +58,6 @@ class GaussFactorization:
         }
 
 
-def _strip(fam, m, rows, cols):
-    """Positional block of m: rows and cols are sets of flat positions."""
-    base = fam.algebra.base
-    size = fam.algebra.n
-    return tuple(
-        tuple(
-            m[r][c] if (r in rows and c in cols) else base.zero
-            for c in range(size)
-        )
-        for r in range(size)
-    )
-
-
 def _field_pivot_cells(F, M, rowsP, colsT):
     """Greedy pivot over a field: cells of a (in T x P) to set to one.
 
@@ -145,7 +132,7 @@ def _pivot(fam, g, t, Jlabels):
         for (w, c), v in zip(cells, fill):
             rows[w][c] = v
         a = tuple(tuple(row) for row in rows)
-        delta = _strip(fam, alg.mul(g, alg.add(alg.one, a)), set(rowsP), set(rowsP))
+        delta = fam.project(alg.mul(g, alg.add(alg.one, a)), Jlabels, Jlabels)
         if alg.is_unit(alg.add(delta, comp)):
             return a
     raise PivotSearchFailed("exhausted pivot candidates")
@@ -188,19 +175,17 @@ def _block_step(fam, g, t, Jlabels):
     the usual triangular bookkeeping verified by the caller's final check.
     """
     alg = fam.algebra
-    rowsP = set(p for j in Jlabels for p in fam.support(j))
     eJ = _sum_idem(fam, Jlabels)
     comp = alg.sub(alg.one, eJ)
     a = _pivot(fam, g, t, Jlabels)
     g1 = alg.mul(g, alg.add(alg.one, a))
-    delta = _strip(fam, g1, rowsP, rowsP)
+    delta = fam.project(g1, Jlabels, Jlabels)
     delta_full = alg.add(delta, comp)
     if not alg.is_unit(delta_full):
         raise PivotSearchFailed("pivot did not make the corner invertible")
-    delta_inv = _strip(fam, alg.inv(delta_full), rowsP, rowsP)
-    rowsT = set(fam.support(t))
-    gamma_JI = _strip(fam, g1, rowsP, rowsT)
-    gamma_IJ = _strip(fam, g1, rowsT, rowsP)
+    delta_inv = fam.project(alg.inv(delta_full), Jlabels, Jlabels)
+    gamma_JI = fam.project(g1, Jlabels, t)
+    gamma_IJ = fam.project(g1, t, Jlabels)
     b = alg.neg(alg.mul(delta_inv, gamma_JI))
     u = fam.project(alg.mul(g1, alg.add(alg.one, b)), t, t)
     u_full = alg.add(u, alg.sub(alg.one, fam.idempotent(t)))
@@ -219,31 +204,23 @@ def _block_step(fam, g, t, Jlabels):
     )
 
 
-def _st_letters(fam, letters):
-    alg = fam.algebra
-    m = alg.one
-    for L in letters:
-        m = alg.mul(m, alg.add(alg.one, L.a))
-    return m
-
-
 def _decompose_rec(fam, g, t):
     alg = fam.algebra
     n = fam.n
     if t == n:
         return [], [], [], {n: fam.project(g, n, n)}
-    Jlabels = [j for j in fam.labels() if j > t]
+    Jlabels = tuple(j for j in fam.labels() if j > t)
     t_plus, t_minus, t_plus2, u, delta_full = _block_step(fam, g, t, Jlabels)
     v_plus, v_minus, v_plus2, dcomp = _decompose_rec(fam, delta_full, t + 1)
     # pull the stray pieces through the recursion inside the row-t and
     # column-t subgroups, where st determines the word
-    m_vp = _st_letters(fam, v_plus)
-    m_all = alg.mul(m_vp, alg.mul(_st_letters(fam, v_minus), _st_letters(fam, v_plus2)))
-    conj2 = alg.mul(alg.inv(m_all), alg.mul(_st_letters(fam, t_plus2), m_all))
-    rowsP = set(p for j in Jlabels for p in fam.support(j))
-    t_plus2_moved = _row_letters(fam, t, Jlabels, _strip(fam, conj2, set(fam.support(t)), rowsP))
-    conjm = alg.mul(alg.inv(m_vp), alg.mul(_st_letters(fam, t_minus), m_vp))
-    t_minus_moved = _col_letters(fam, t, Jlabels, _strip(fam, conjm, rowsP, set(fam.support(t))))
+    ctx = Context(fam)
+    m_vp = st_eval(Word(ctx, v_plus))
+    m_all = st_eval(Word(ctx, v_plus + v_minus + v_plus2))
+    conj2 = alg.mul(alg.inv(m_all), alg.mul(st_eval(Word(ctx, t_plus2)), m_all))
+    t_plus2_moved = _row_letters(fam, t, Jlabels, fam.project(conj2, t, Jlabels))
+    conjm = alg.mul(alg.inv(m_vp), alg.mul(st_eval(Word(ctx, t_minus)), m_vp))
+    t_minus_moved = _col_letters(fam, t, Jlabels, fam.project(conjm, Jlabels, t))
     dcomp[t] = u
     return (
         t_plus + v_plus,
@@ -347,7 +324,7 @@ def presentation_relation_check(fam, i, rng=None, samples=None, word_samples=0):
             skipped += 1
             continue
         checked += 1
-        t_plus, t_minus, t_plus2, u, delta_full = _block_step(fam, g, i, [j])
+        t_plus, t_minus, t_plus2, u, delta_full = _block_step(fam, g, i, (j,))
         pairs = [
             (_first_payload(alg, fam, t_plus, i, j), _first_payload(alg, fam, t_minus, j, i)),
             (_first_payload(alg, fam, t_plus2, i, j), alg.zero),
@@ -355,9 +332,8 @@ def presentation_relation_check(fam, i, rng=None, samples=None, word_samples=0):
         ]
         used = sum(1 for a, b in pairs if (a, b) != (alg.zero, alg.zero))
         max_pairs = max(max_pairs, used)
-        m = alg.one
-        for a, b in pairs:
-            m = alg.mul(m, alg.mul(alg.add(alg.one, a), alg.add(alg.one, b)))
+        letters = [L for a, b in pairs for L in (Letter(i, j, a), Letter(j, i, b))]
+        m = st_eval(Word(ctx, letters))
         dd = alg.add(alg.add(u, fam.project(delta_full, j, j)), alg.sub(alg.one, _sum_idem(fam, [i, j])))
         if alg.mul(m, dd) != g:
             violations.append(alg.element_to_json(g))
@@ -367,7 +343,7 @@ def presentation_relation_check(fam, i, rng=None, samples=None, word_samples=0):
             for _k in range(3):
                 letters.append(Letter(i, j, fam.sample_component(i, j, rng)))
                 letters.append(Letter(j, i, fam.sample_component(j, i, rng)))
-            m = _st_letters(fam, letters)
+            m = st_eval(Word(ctx, letters))
             if _is_diagonal(fam, m):
                 diagonal_words += 1
                 fac = gauss_decompose(fam, m)

@@ -53,6 +53,7 @@ class IdempotentFamily:
             for blk in blocks
         )
         self._witnesses = {}
+        self._cells = {}
 
     @classmethod
     def matrix_units(cls, algebra):
@@ -67,21 +68,38 @@ class IdempotentFamily:
     def support(self, i):
         return self.blocks[i - 1]
 
-    def project(self, a, i, j):
-        """The Peirce component e_i a e_j, extracted positionally."""
-        base = self.algebra.base
-        rows = set(self.blocks[i - 1])
-        cols = set(self.blocks[j - 1])
-        return tuple(
-            tuple(
-                a[r][c] if (r in rows and c in cols) else base.zero
-                for c in range(self.algebra.n)
+    def cells(self, i, j):
+        """The matrix positions (r, c) of the component R_ij, row by row.
+
+        i and j are block labels, or tuples of labels standing for the sum
+        of their idempotents.  Built on first use and cached.
+        """
+        got = self._cells.get((i, j))
+        if got is None:
+            got = tuple(
+                (r, c) for r in self._positions(i) for c in self._positions(j)
             )
-            for r in range(self.algebra.n)
-        )
+            self._cells[(i, j)] = got
+        return got
+
+    def _positions(self, labels):
+        if isinstance(labels, tuple):
+            return sorted(p for t in labels for p in self.blocks[t - 1])
+        return self.blocks[labels - 1]
+
+    def project(self, a, i, j):
+        """The Peirce component e_i a e_j, extracted positionally.
+
+        i and j may be tuples of labels, as in cells().
+        """
+        cells = self.cells(i, j)
+        return self._from_cells(cells, [a[r][c] for r, c in cells])
 
     def contains(self, a, i, j):
-        return self.project(a, i, j) == a
+        """Is a in R_ij, that is, zero off the cells of (i, j)?"""
+        zero = self.algebra.base.zero
+        nonzero = sum(x != zero for row in a for x in row)
+        return nonzero == sum(a[r][c] != zero for r, c in self.cells(i, j))
 
     def witnesses(self, i, j):
         """Morita witness pairs for (i, j): sum_p x_p y_p == e_i."""
@@ -105,32 +123,21 @@ class IdempotentFamily:
 
     def component_elements(self, i, j):
         """All elements of R_ij, enumerated positionally."""
-        alg = self.algebra
-        base = alg.base
-        rows = self.blocks[i - 1]
-        cols = self.blocks[j - 1]
-        cells = [(r, c) for r in rows for c in cols]
-        for fill in itertools.product(list(base.elements()), repeat=len(cells)):
+        cells = self.cells(i, j)
+        pool = list(self.algebra.base.elements())
+        for fill in itertools.product(pool, repeat=len(cells)):
             yield self._from_cells(cells, fill)
 
     def sample_component(self, i, j, rng):
-        alg = self.algebra
-        base = alg.base
-        pool = list(base.elements())
-        rows = self.blocks[i - 1]
-        cols = self.blocks[j - 1]
-        cells = [(r, c) for r in rows for c in cols]
+        pool = list(self.algebra.base.elements())
+        cells = self.cells(i, j)
         return self._from_cells(cells, [rng.choice(pool) for _ in cells])
 
     def _from_cells(self, cells, fill):
-        base = self.algebra.base
-        vals = dict(zip(cells, fill))
-        return tuple(
-            tuple(
-                vals.get((r, c), base.zero) for c in range(self.algebra.n)
-            )
-            for r in range(self.algebra.n)
-        )
+        out = [list(row) for row in self.algebra.zero]
+        for (r, c), v in zip(cells, fill):
+            out[r][c] = v
+        return tuple(map(tuple, out))
 
     def corner_is_unit(self, u, i):
         """Is u in R_ii invertible in the corner ring e_i R e_i?"""

@@ -427,6 +427,43 @@ class MatrixAlgebra:
             out.append(tuple(orow))
         return tuple(out)
 
+    def add_column_multiples(self, cols, ops):
+        """Elementary column operations on a list of column lists, in place.
+
+        For each (k, c, v): column c += column k * v.  No k may also be a c,
+        so every operation reads columns the others leave unchanged.
+        """
+        m = self._mod
+        if m is not None:
+            for k, c, v in ops:
+                cols[c] = [(y + x * v) % m for x, y in zip(cols[k], cols[c])]
+            return
+        base = self.base
+        zero = base.zero
+        for k, c, v in ops:
+            cols[c] = [
+                y if x == zero else base.add(y, base.mul(x, v))
+                for x, y in zip(cols[k], cols[c])
+            ]
+
+    def add_row_multiples(self, rows, ops):
+        """Elementary row operations on a list of row lists, in place.
+
+        For each (r, c, v): row r += v * row c.  No r may also be a c.
+        """
+        m = self._mod
+        if m is not None:
+            for r, c, v in ops:
+                rows[r] = [(x + v * y) % m for x, y in zip(rows[r], rows[c])]
+            return
+        base = self.base
+        zero = base.zero
+        for r, c, v in ops:
+            rows[r] = [
+                x if y == zero else base.add(x, base.mul(v, y))
+                for x, y in zip(rows[r], rows[c])
+            ]
+
     def elements(self):
         base_all = list(self.base.elements())
         for flat in itertools.product(base_all, repeat=self.n * self.n):

@@ -23,7 +23,6 @@ from .rings import MatrixAlgebra, SforgeError, localize_finite, random_element
 from .words import (
     Context,
     Letter,
-    RankTooSmall,
     Word,
     NonInvertibleComponent,
     check_relation_instance,
@@ -33,6 +32,7 @@ from .words import (
     random_relation_indices,
     random_word,
     reduce_word,
+    require_blocks,
     st_eval,
 )
 
@@ -380,8 +380,7 @@ class RootActor:
         fam = tower.family
         if fam is None:
             raise SforgeError("actors need an idempotent family")
-        if fam.n < 4:
-            raise RankTooSmall("root actors need at least 4 blocks")
+        require_blocks(fam, 4, "a root actor")
         if i == j:
             raise SforgeError("root actor indices must differ")
         if not fam.contains(num, i, j):
@@ -554,6 +553,7 @@ def tower_relation_suite(tower, rng, samples_per_level=50, mutate=None):
     fam = tower.family
     if fam is None:
         raise SforgeError("relation suites need an idempotent family")
+    require_blocks(fam, 2, "the tower relation suite")
     alg = tower.algebra
     labels = list(fam.labels())
     n = len(labels)
@@ -620,11 +620,13 @@ def split_naturality_suite(tower, rng, samples=25, length=3):
 
     Merges the last two blocks, samples words over the coarse family at a
     positive level, and compares split-then-map against map-then-split
-    after reduction (zero cuts may drop on one side only).
+    after reduction (zero cuts may drop on one side only).  Needs three
+    blocks, so that the coarse family still has two.
     """
     fam = tower.family
+    require_blocks(fam, 3, "the split naturality suite")
     labels = list(fam.labels())
-    if len(labels) < 2 or tower.k_max < 1:
+    if tower.k_max < 1:
         return {"checked": 0, "violations": 0}
     coarse, ref = fam.merge(labels[-2], labels[-1])
     checked = bad = 0
@@ -675,6 +677,7 @@ def actor_relation_suite(tower, rng, samples=25):
     actor's own root, and diagonal conjugation of a root actor.
     """
     fam = tower.family
+    require_blocks(fam, 2, "the actor relation suite")
     labels = list(fam.labels())
     n = len(labels)
     cases = {}
@@ -772,6 +775,7 @@ def scaled_operator_suite(tower, rng, max_extra=2, exponents=(0, 1, 2), cap=256)
     survives onto the power cycle of s is certified inequivalent.
     """
     fam = tower.family
+    require_blocks(fam, 2, "the scaled operator suite")
     alg = tower.algebra
     labels = list(fam.labels())
     i, j = labels[0], labels[1]

@@ -41,6 +41,14 @@ class NonInvertibleComponent(SforgeError):
     """A diagonal component is not invertible in its corner ring."""
 
 
+def require_blocks(fam, need, what):
+    """Raise RankTooSmall unless the family has at least `need` blocks."""
+    if fam.n < need:
+        raise RankTooSmall(
+            "%s needs at least %d blocks; the family has %d" % (what, need, fam.n)
+        )
+
+
 class Letter(NamedTuple):
     i: int
     j: int
@@ -132,25 +140,44 @@ def commutator(w1, w2):
     return w1 * w2 * w1.inverse() * w2.inverse()
 
 
+def _entries(fam, L):
+    """The nonzero entries (r, c, a[r][c]) of a letter's payload a."""
+    a = L.a
+    zero = fam.algebra.base.zero
+    return [(r, c, a[r][c]) for r, c in fam.cells(L.i, L.j) if a[r][c] != zero]
+
+
 def st_eval(w):
     """The image of the word under st.
 
     Plain context: the product of the transvections 1 + a in GL(R).
     Homotope context: the fold of scale*x*y + x + y over the payloads,
     a quasi-invertible element of R at that scale.
+
+    Each payload a of a letter x_ij(a) lies in R_ij with i != j: it is
+    zero off the block-i rows and block-j columns, and the two blocks are
+    disjoint.  So m(1 + a) = m + ma changes only the block-j columns, by
+    m[:, c] += sum over k in block i of m[:, k] a[k][c]; the homotope step
+    s*acc*a + acc + a is the same update scaled by s, plus a on its cells.
+    A letter costs O(n |block i| |block j|) ring operations, not the
+    O(n^3) of a matrix product.
     """
-    alg = w.context.algebra
+    fam = w.context.family
+    alg = fam.algebra
+    base = alg.base
     s = w.context.scale
-    if s is None:
-        m = alg.one
-        for L in w.letters:
-            m = alg.mul(m, alg.add(alg.one, L.a))
-        return m
-    acc = alg.zero
+    # columns of the running value; one and zero are their own transposes
+    cols = [list(col) for col in (alg.one if s is None else alg.zero)]
     for L in w.letters:
-        prod = alg.scalar_mul(s, alg.mul(acc, L.a))
-        acc = alg.add(prod, alg.add(acc, L.a))
-    return acc
+        ops = _entries(fam, L)
+        if s is None:
+            alg.add_column_multiples(cols, ops)
+        else:
+            scaled = [(k, c, base.scalar_mul(s, v)) for k, c, v in ops]
+            alg.add_column_multiples(cols, scaled)
+            for k, c, v in ops:
+                cols[c][k] = base.add(cols[c][k], v)
+    return tuple(zip(*cols))
 
 
 def support_sign(w):
@@ -210,7 +237,10 @@ def u_normal_form(w):
 
     Positions are filled in increasing height order; payloads are peeled
     off the exact st image, so two supported words have the same normal
-    form exactly when they are equal in the Steinberg group.
+    form exactly when they are equal in the Steinberg group.  Peeling a
+    payload a in R_ij (i != j) multiplies the residual by 1 - a on the
+    left, which changes only the block-i rows: O(n |block i| |block j|)
+    ring operations per letter, as in st_eval.
     """
     if w.context.scale is not None:
         raise SforgeError("normal form is defined for plain contexts")
@@ -221,14 +251,18 @@ def u_normal_form(w):
         raise NotUnipotentSupport("word mixes upper and lower letters")
     if sign == 0:
         return Word(w.context)
-    residual = st_eval(w)
+    neg = alg.base.neg
+    rows = [list(row) for row in st_eval(w)]
     out = []
     for (i, j) in _position_order(fam, sign):
-        a = fam.project(residual, i, j)
+        a = fam.project(rows, i, j)
         if a != alg.zero:
-            out.append(Letter(i, j, a))
-            residual = alg.mul(alg.sub(alg.one, a), residual)
-    if residual != alg.one:
+            L = Letter(i, j, a)
+            out.append(L)
+            # (1 - a) * residual: a row update on the block-i rows
+            ops = [(r, c, neg(v)) for r, c, v in _entries(fam, L)]
+            alg.add_row_multiples(rows, ops)
+    if tuple(map(tuple, rows)) != alg.one:
         raise SforgeError("unipotent extraction failed; support was not unipotent")
     return Word(w.context, tuple(out))
 
@@ -421,9 +455,7 @@ def g_alpha(w, ref, epi_only=False):
     of commutators of off-diagonal letters.  Splitting is a group inverse
     to this map when the fine family has at least 4 blocks.
     """
-    n = ref.fine.n
-    if n < (3 if epi_only else 4):
-        raise RankTooSmall("need at least %d blocks" % (3 if epi_only else 4))
+    require_blocks(ref.fine, 3 if epi_only else 4, "the merge map")
     if w.context.family != ref.fine:
         raise SforgeError("word does not live over the fine family")
     alg = ref.fine.algebra
@@ -457,8 +489,7 @@ def express_as_commutators(ctx, i, k, c, j=None):
     empty word; j defaults to the smallest label distinct from i and k.
     """
     fam = ctx.family
-    if fam.n < 3:
-        raise RankTooSmall("need at least 3 blocks")
+    require_blocks(fam, 3, "a commutator expression")
     if i == k:
         raise IndexClash("endpoints must differ")
     if j is None:

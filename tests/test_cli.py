@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import sforge
 from sforge.cli import main
 
 M3Z4 = {"kind": "Mat", "size": 3, "base": {"kind": "Zmod", "m": 4}}
@@ -235,3 +238,46 @@ def test_collapsing_tower_still_passes_with_warning(tmp_path, capsys):
     report = json.loads(out)
     assert report["verdict"] == "warn"
     assert report["warnings"]
+
+
+def run_cli_process(argv):
+    """The sforge command in a fresh interpreter: (exit code, stdout, stderr)."""
+    src = os.path.dirname(os.path.dirname(sforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sforge.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, size, want",
+    [("tower", 2, 0), ("tower", 1, 2), ("crossed-module", 1, 2), ("relations", 1, 2)],
+)
+def test_too_few_blocks_skips_or_exits_two(tmp_path, command, size, want):
+    ring = {"kind": "Mat", "size": size, "base": {"kind": "Zmod", "m": 4}}
+    cfg = write_config(
+        tmp_path, "small.json", {"ring": ring, "scale": 2, "k_max": 2, "samples": 5}
+    )
+    code, out, err = run_cli_process([command, "--config", cfg])
+    assert "Traceback" not in err
+    assert code == want
+    if want == 2:
+        assert "config error" in err and "needs at least" in err
+    else:
+        report = json.loads(out)
+        assert report["suites"]["split_naturality"]["checked"] == 0
+        assert any("split_naturality skipped" in w for w in report["warnings"])
+
+
+@pytest.mark.parametrize("field", ["samples", "k_max", "seed"])
+def test_booleans_are_not_integers(tmp_path, capsys, field):
+    cfg = write_config(tmp_path, "bool.json", {"ring": M3Z4, field: True})
+    code, out, err = run_main(capsys, ["relations", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and field in err

@@ -23,7 +23,7 @@ from . import __version__
 from .crossed import crossed_module_verify
 from .gauss import NotInvertible, enumerate_gl, gauss_decompose, sample_gl
 from .peirce import BadFamily, family_from_json
-from .rings import MatrixAlgebra, SforgeError, ring_from_json
+from .rings import MatrixAlgebra, SforgeError, is_json_int, ring_from_json
 from .tower import (
     HomotopeTower,
     actor_relation_suite,
@@ -67,13 +67,8 @@ class ConfigError(SforgeError):
 
 
 def _check_int(value, what, least=None):
-    """value, if it is an integer of at least `least`; JSON true and false
-    are not integers here, though Python's bool is a subclass of int."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, int)
-        or (least is not None and value < least)
-    ):
+    """value, if it is a JSON integer of at least `least`."""
+    if not is_json_int(value) or (least is not None and value < least):
         raise ConfigError("%s, got %s" % (what, json.dumps(value)))
     return value
 
@@ -288,6 +283,12 @@ def cmd_crossed_module(cfg, args):
 
 def cmd_tower(cfg, args):
     fam = _require_family(cfg, "tower")
+    if isinstance(fam.algebra.base, MatrixAlgebra):
+        # localizing the scale needs entries in the commutative scalar ring
+        raise ConfigError(
+            "tower runs need a matrix ring over Zmod or GF; write M(n, M(k, A)) "
+            "as M(nk, A) with a block family"
+        )
     if cfg.scale is None:
         raise ConfigError("tower runs need a scale element")
     k_max = cfg.k_max

@@ -61,13 +61,6 @@ class CrossedModuleAction:
         return wg * diag_act(d, w) * wg.inverse()
 
 
-def ad_direct(fam, g, w, action=None):
-    """The image of w under conjugation by g, as a word."""
-    if action is None:
-        action = CrossedModuleAction(fam)
-    return action.apply(g, w)
-
-
 def y_lift(action, g, i, j, a, via_commutators=False):
     """A word whose st image is g (1 + a) g^{-1}, a in R_ij.
 

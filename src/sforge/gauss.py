@@ -181,17 +181,18 @@ def _block_step(fam, g, t, Jlabels):
     g1 = alg.mul(g, alg.add(alg.one, a))
     delta = fam.project(g1, Jlabels, Jlabels)
     delta_full = alg.add(delta, comp)
-    if not alg.is_unit(delta_full):
-        raise PivotSearchFailed("pivot did not make the corner invertible")
-    delta_inv = fam.project(alg.inv(delta_full), Jlabels, Jlabels)
+    try:
+        delta_inv = fam.corner_inv(delta, Jlabels)
+    except NotInvertible:
+        raise PivotSearchFailed("pivot did not make the corner invertible") from None
     gamma_JI = fam.project(g1, Jlabels, t)
     gamma_IJ = fam.project(g1, t, Jlabels)
     b = alg.neg(alg.mul(delta_inv, gamma_JI))
     u = fam.project(alg.mul(g1, alg.add(alg.one, b)), t, t)
-    u_full = alg.add(u, alg.sub(alg.one, fam.idempotent(t)))
-    if not alg.is_unit(u_full):
-        raise PivotSearchFailed("leading corner not invertible after clearing")
-    u_inv = fam.project(alg.inv(u_full), t, t)
+    try:
+        u_inv = fam.corner_inv(u, t)
+    except NotInvertible:
+        raise PivotSearchFailed("leading corner not invertible after clearing") from None
     c = alg.mul(gamma_IJ, delta_inv)
     upper2 = alg.neg(alg.mul(u, alg.mul(a, delta_inv)))
     lower = alg.neg(alg.mul(delta, alg.mul(b, u_inv)))
@@ -213,13 +214,18 @@ def _decompose_rec(fam, g, t):
     t_plus, t_minus, t_plus2, u, delta_full = _block_step(fam, g, t, Jlabels)
     v_plus, v_minus, v_plus2, dcomp = _decompose_rec(fam, delta_full, t + 1)
     # pull the stray pieces through the recursion inside the row-t and
-    # column-t subgroups, where st determines the word
+    # column-t subgroups, where st determines the word; st(w)^-1 is
+    # st(w.inverse()), so no matrix is inverted here
     ctx = Context(fam)
-    m_vp = st_eval(Word(ctx, v_plus))
-    m_all = st_eval(Word(ctx, v_plus + v_minus + v_plus2))
-    conj2 = alg.mul(alg.inv(m_all), alg.mul(st_eval(Word(ctx, t_plus2)), m_all))
+    w_vp = Word(ctx, v_plus)
+    w_all = Word(ctx, v_plus + v_minus + v_plus2)
+    conj2 = alg.mul(
+        st_eval(w_all.inverse()), alg.mul(st_eval(Word(ctx, t_plus2)), st_eval(w_all))
+    )
     t_plus2_moved = _row_letters(fam, t, Jlabels, fam.project(conj2, t, Jlabels))
-    conjm = alg.mul(alg.inv(m_vp), alg.mul(st_eval(Word(ctx, t_minus)), m_vp))
+    conjm = alg.mul(
+        st_eval(w_vp.inverse()), alg.mul(st_eval(Word(ctx, t_minus)), st_eval(w_vp))
+    )
     t_minus_moved = _col_letters(fam, t, Jlabels, fam.project(conjm, Jlabels, t))
     dcomp[t] = u
     return (

@@ -54,6 +54,7 @@ class IdempotentFamily:
         )
         self._witnesses = {}
         self._cells = {}
+        self._corner_algebras = {}
 
     @classmethod
     def matrix_units(cls, algebra):
@@ -140,17 +141,31 @@ class IdempotentFamily:
         return tuple(map(tuple, out))
 
     def corner_is_unit(self, u, i):
-        """Is u in R_ii invertible in the corner ring e_i R e_i?"""
-        alg = self.algebra
-        e = self.idempotent(i)
-        return alg.is_unit(alg.add(u, alg.sub(alg.one, e)))
+        """Is u in R_ii invertible in the corner ring e_i R e_i?
+
+        i may be a tuple of labels, as in cells().
+        """
+        alg, block = self._corner(u, i)
+        return alg.is_unit(block)
 
     def corner_inv(self, u, i):
-        """Inverse of u inside the corner e_i R e_i."""
-        alg = self.algebra
-        e = self.idempotent(i)
-        v = alg.inv(alg.add(u, alg.sub(alg.one, e)))
-        return self.project(v, i, i)
+        """Inverse of u inside the corner e_i R e_i; raises NotInvertible.
+
+        Only the block of u on the positions of i is inverted, and the
+        result is put back on cells(i, i).  i may be a tuple of labels.
+        """
+        alg, block = self._corner(u, i)
+        v = alg.inv(block)
+        return self._from_cells(self.cells(i, i), [x for row in v for x in row])
+
+    def _corner(self, u, i):
+        """(M(k, base) for the k positions of i, the k x k block of u on them)."""
+        pos = self._positions(i)
+        k = len(pos)
+        alg = self._corner_algebras.get(k)
+        if alg is None:
+            alg = self._corner_algebras[k] = MatrixAlgebra(self.algebra.base, k)
+        return alg, tuple(tuple(u[r][c] for c in pos) for r in pos)
 
     def merge(self, p, q):
         """Merge blocks p and q; the merged class is placed last.

@@ -281,3 +281,39 @@ def test_booleans_are_not_integers(tmp_path, capsys, field):
     assert code == 2
     assert out == ""
     assert "config error" in err and field in err
+
+
+@pytest.mark.parametrize(
+    "field, ring",
+    [
+        ("m", {"kind": "Zmod", "m": True}),
+        ("m", {"kind": "Zmod", "m": "4"}),
+        ("p", {"kind": "GF", "p": "3", "f": [1, 0, 1]}),
+        ("f", {"kind": "GF", "p": 3, "f": [1, 0, True]}),
+        ("size", {"kind": "Mat", "size": True, "base": {"kind": "Zmod", "m": 4}}),
+    ],
+    ids=["m-true", "m-string", "p-string", "f-entry-true", "size-true"],
+)
+def test_ring_descriptor_fields_must_be_integers(tmp_path, field, ring):
+    if ring["kind"] != "Mat":
+        ring = {"kind": "Mat", "size": 2, "base": ring}
+    cfg = write_config(tmp_path, "ring.json", {"ring": ring})
+    code, out, err = run_cli_process(["relations", "--config", cfg])
+    assert "Traceback" not in err
+    assert code == 2
+    assert out == ""
+    assert "bad ring descriptor" in err and "'%s'" % field in err
+
+
+def test_tower_rejects_nested_matrix_ring(tmp_path):
+    inner = {"kind": "Mat", "size": 2, "base": {"kind": "Zmod", "m": 4}}
+    cfg = write_config(
+        tmp_path,
+        "nested.json",
+        {"ring": {"kind": "Mat", "size": 3, "base": inner}, "scale": 2, "k_max": 2},
+    )
+    code, out, err = run_cli_process(["tower", "--config", cfg])
+    assert "Traceback" not in err
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and "block family" in err

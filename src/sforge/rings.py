@@ -10,6 +10,10 @@ The three ring kinds:
     GF(p, f)           the field F_{p^d}, f a monic irreducible of degree d
     MatrixAlgebra(A,n) n-by-n matrices over a base ring A
 
+GF arithmetic is table-driven: each field builds log, antilog, Zech and
+negation tables once, at construction, in O(q) time and memory for
+q = p^d, after which every field operation is a lookup.
+
 Matrix algebras may be nested; determinants and inverses of nested matrices
 are computed after flattening down to a commutative base.  They cost
 O(n^3) base operations, by exact elimination: over Z/m, unimodular 2x2
@@ -135,7 +139,7 @@ class Zmod:
         return a
 
     def element_from_json(self, obj):
-        return self.element(obj)
+        return self.element(_json_int(obj, "a Z/%d element" % self.m))
 
     def __eq__(self, other):
         return isinstance(other, Zmod) and other.m == self.m
@@ -186,10 +190,45 @@ def _poly_divmod(a, b, p):
     return q, r
 
 
+def _poly_mulmod(a, b, f, p):
+    """a * b modulo the monic f, coefficients mod p, for a reduced modulo f
+    (d coefficients) and b nonempty: Horner's rule in b, O(d) per
+    coefficient of b."""
+    out = list(a) if b[-1] == 1 else [b[-1] * x % p for x in a]
+    for y in reversed(b[:-1]):
+        # out * t, reduced by t^d == -(f_0 + ... + f_{d-1} t^{d-1}); then + y * a
+        top = out[-1]
+        out = [0] + out[:-1]
+        if top:
+            out = [(x - top * c) % p for x, c in zip(out, f)]
+        if y:
+            out = [(x + y * z) % p for x, z in zip(out, a)]
+    return out
+
+
+def _poly_powmod(a, e, f, p):
+    """a^e modulo the monic f, coefficients mod p, by repeated squaring."""
+    a = _poly_mod(a, f, p)
+    out = _poly_mod([1], f, p)
+    while e:
+        if e & 1:
+            out = _poly_mulmod(out, a, f, p)
+        a = _poly_mulmod(a, a, f, p)
+        e >>= 1
+    return out
+
+
 class GF:
     """The finite field F_{p^d} as F_p[t] modulo a monic irreducible f.
 
     Elements are coefficient tuples of length d, lowest degree first.
+    Arithmetic is table-driven: construction fixes a primitive element g
+    and tabulates its powers (antilogarithms), the logarithm of every
+    nonzero element, Zech's logarithms Z(k) = log(1 + g^k), and negation.
+    Then mul, inv, add, sub and neg are O(1) lookups, with
+    g^i + g^j = g^(i + Z(j - i)).  The tables take O(q) time and memory
+    for q = p^d, built once per field (Lidl & Niederreiter, Finite Fields,
+    1997).
     """
 
     kind = "GF"
@@ -208,6 +247,7 @@ class GF:
         self.size = p ** self.deg
         self.zero = (0,) * self.deg
         self.one = (1,) + (0,) * (self.deg - 1)
+        self._build_tables()
 
     def _irreducible(self):
         d = len(self.f) - 1
@@ -221,6 +261,45 @@ class GF:
                     return False
         return True
 
+    def _primitive(self):
+        """A generator of the multiplicative group, as a trimmed coefficient list.
+
+        Candidates are taken in order of degree, so multiplying by the one
+        found costs O(d) per coefficient it has; g is primitive when
+        g^((q-1)/r) != 1 for every prime r dividing q - 1.
+        """
+        p, d, f = self.p, self.deg, list(self.f)
+        order = self.size - 1
+        one = list(self.one)
+        primes = _prime_factors(order)
+        candidates = (
+            _poly_trim([(k // p ** e) % p for e in range(d)])
+            for k in range(1, self.size)
+        )
+        return next(
+            g for g in candidates
+            if all(_poly_powmod(g, order // r, f, p) != one for r in primes)
+        )
+
+    def _build_tables(self):
+        p, f = self.p, list(self.f)
+        order = self.size - 1
+        g = self._primitive()
+        exp = []
+        cur = list(self.one)
+        for _ in range(order):
+            exp.append(tuple(cur))
+            cur = _poly_mulmod(cur, g, f, p)
+        log = {a: k for k, a in enumerate(exp)}
+        log[self.zero] = None  # zero has no logarithm
+        # -1 is g^((q-1)/2), the one element of order 2; in characteristic 2, 1
+        half = order // 2 if p > 2 else 0
+        self._neg = {a: exp[(k + half) % order] for k, a in enumerate(exp)}
+        self._neg[self.zero] = self.zero
+        self._zech = [log[((a[0] + 1) % p,) + a[1:]] for a in exp]
+        self._log = log
+        self._exp = exp + exp  # log a + log b < 2(q - 1) needs no reduction
+
     def element(self, v):
         if isinstance(v, int):
             return (v % self.p,) + (0,) * (self.deg - 1)
@@ -228,25 +307,37 @@ class GF:
         return tuple(cs)
 
     def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        log = self._log
+        la, lb = log[a], log[b]
+        if la is None:
+            return b
+        if lb is None:
+            return a
+        z = self._zech[lb - la]  # a negative index reads Z modulo q - 1
+        return self.zero if z is None else self._exp[la + z]
 
     def sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        # a + (-b) with add's body written out, not a call to add, so that
+        # perfbench's count of GF.add calls stays a count of additions
+        log = self._log
+        nb = self._neg[b]
+        la, lb = log[a], log[nb]
+        if la is None:
+            return nb
+        if lb is None:
+            return a
+        z = self._zech[lb - la]
+        return self.zero if z is None else self._exp[la + z]
 
     def neg(self, a):
-        p = self.p
-        return tuple(-x % p for x in a)
+        return self._neg[a]
 
     def mul(self, a, b):
-        p = self.p
-        conv = [0] * (2 * self.deg - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    conv[i + j] += x * y
-        return tuple(_poly_mod(conv, list(self.f), p))
+        log = self._log
+        la, lb = log[a], log[b]
+        if la is None or lb is None:
+            return self.zero
+        return self._exp[la + lb]
 
     def elements(self):
         return itertools.product(range(self.p), repeat=self.deg)
@@ -258,34 +349,10 @@ class GF:
         return a != self.zero
 
     def inv(self, a):
-        if a == self.zero:
+        la = self._log[a]
+        if la is None:
             raise NotInvertible("zero is not invertible in GF(%d^%d)" % (self.p, self.deg))
-        # extended Euclid in F_p[t]: u*a + v*f = gcd = const
-        p = self.p
-        r0, r1 = list(self.f), _poly_trim(list(a))
-        s0, s1 = [0], [1]
-        while True:
-            q, r = _poly_divmod(r0, r1, p)
-            if not r:
-                break
-            s = [c % p for c in self._poly_sub(s0, self._poly_mul(q, s1))]
-            r0, s0, r1, s1 = r1, s1, r, s
-        c = pow(r1[-1] if len(r1) > 1 else r1[0], -1, p)
-        out = [(c * x) % p for x in s1]
-        return self.element(out)
-
-    def _poly_mul(self, a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return out
-
-    def _poly_sub(self, a, b):
-        n = max(len(a), len(b))
-        a = a + [0] * (n - len(a))
-        b = b + [0] * (n - len(b))
-        return [x - y for x, y in zip(a, b)]
+        return self._exp[self.size - 1 - la]
 
     @property
     def scalar_ring(self):
@@ -310,7 +377,15 @@ class GF:
         return list(a)
 
     def element_from_json(self, obj):
-        return self.element(obj)
+        """An element from a JSON integer or a list of JSON integers
+        (coefficients, lowest degree first)."""
+        if is_json_int(obj) or (
+            isinstance(obj, list) and all(is_json_int(c) for c in obj)
+        ):
+            return self.element(obj)
+        raise ValueError(
+            "a GF element must be an integer or a list of integers, got %r" % (obj,)
+        )
 
     def __eq__(self, other):
         return isinstance(other, GF) and (other.p, other.f) == (self.p, self.f)
@@ -474,14 +549,19 @@ class MatrixAlgebra:
                 tuple(sum(map(operator.mul, row, col)) % m for col in cols) for row in a
             )
         base = self.base
+        zero = base.zero
+        add, mul = base.add, base.mul
         out = []
         for row in a:
+            # each row's nonzero entries are found once, not once per column
+            nonzero = [(k, x) for k, x in enumerate(row) if x != zero]
             orow = []
             for col in cols:
-                acc = base.zero
-                for x, y in zip(row, col):
-                    if x != base.zero and y != base.zero:
-                        acc = base.add(acc, base.mul(x, y))
+                acc = zero
+                for k, x in nonzero:
+                    y = col[k]
+                    if y != zero:
+                        acc = add(acc, mul(x, y))
                 orow.append(acc)
             out.append(tuple(orow))
         return tuple(out)

@@ -648,26 +648,6 @@ def actor_apply_chain(tower, actors, w):
     return w
 
 
-def _random_word_avoiding(ctx, rng, length, avoid):
-    """Random word whose letters stay off the given (row, col) pairs.
-
-    The avoided pairs are the opposite roots of the acting generators;
-    keeping them out of the source word keeps them out of the whole
-    orbit, so chained actions compare exactly.
-    """
-    fam = ctx.family
-    labels = list(fam.labels())
-    letters = []
-    while len(letters) < length:
-        i, j = rng.sample(labels, 2)
-        if (i, j) in avoid:
-            continue
-        a = fam.sample_component(i, j, rng)
-        if a != fam.algebra.zero:
-            letters.append(Letter(i, j, a))
-    return Word(ctx, tuple(letters))
-
-
 def actor_relation_suite(tower, rng, samples=25):
     """The localized generators act compatibly with their own relations.
 
@@ -699,7 +679,7 @@ def actor_relation_suite(tower, rng, samples=25):
         if u1 is None or u2 is None or uj is None:
             continue
         k_src = tower.k_max
-        w = _random_word_avoiding(tower.context(k_src), rng, 2, {(j, i)})
+        w = random_word(tower.context(k_src), rng, 2, avoid={(j, i)})
         prod = DiagActor(tower, i, fam.algebra.mul(u1.num, u2.num), 2 * du)
         ok = equal_after_localization(tower, act([u1, u2], w), tower_ad(tower, prod, w))
         tally("diag_product", ok)
@@ -738,8 +718,8 @@ def actor_relation_suite(tower, rng, samples=25):
             dv = rng.randrange(2) if tower.k_max >= 4 else 0
             x = RootActor(tower, i, j, fam.sample_component(i, j, rng), dv)
             y = RootActor(tower, k2, l, fam.sample_component(k2, l, rng), dv)
-            w = _random_word_avoiding(
-                tower.context(tower.k_max), rng, 2, {(j, i), (l, k2)}
+            w = random_word(
+                tower.context(tower.k_max), rng, 2, avoid={(j, i), (l, k2)}
             )
             tally(
                 "root_st2",
@@ -750,8 +730,8 @@ def actor_relation_suite(tower, rng, samples=25):
             y = RootActor(tower, j, k2, fam.sample_component(j, k2, rng), dv)
             if tower.k_max < 4 * dv:
                 continue
-            w = _random_word_avoiding(
-                tower.context(tower.k_max), rng, 2, {(j, i), (k2, j), (k2, i)}
+            w = random_word(
+                tower.context(tower.k_max), rng, 2, avoid={(j, i), (k2, j), (k2, i)}
             )
             comm = act([x, y, x.inverse(), y.inverse()], w)
             direct = tower_ad(

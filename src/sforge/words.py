@@ -42,7 +42,15 @@ class NonInvertibleComponent(SforgeError):
 
 
 def require_blocks(fam, need, what):
-    """Raise RankTooSmall unless the family has at least `need` blocks."""
+    """Raise RankTooSmall unless the family has at least `need` blocks.
+
+    Over the zero ring every idempotent is 0, so no family there has a
+    nonzero block, and no word there has a nonzero letter.
+    """
+    if fam.algebra.one == fam.algebra.zero:
+        raise RankTooSmall(
+            "%s needs a nonzero ring; every block of the zero ring is 0" % what
+        )
     if fam.n < need:
         raise RankTooSmall(
             "%s needs at least %d blocks; the family has %d" % (what, need, fam.n)
@@ -599,8 +607,13 @@ def random_relation_indices(fam, rng, kind):
     raise ValueError("unknown relation %r" % (kind,))
 
 
-def random_word(ctx, rng, length, sign=None):
-    """A random word with nonzero payloads; sign +1/-1 restricts to U+/U-."""
+def random_word(ctx, rng, length, sign=None, avoid=()):
+    """A random word with nonzero payloads; sign +1/-1 restricts to U+/U-.
+
+    No letter sits on a (row, col) label pair in avoid; the tower passes
+    the opposite roots of its acting generators, so that they stay out of
+    the whole orbit and chained actions compare exactly.
+    """
     fam = ctx.family
     alg = ctx.algebra
     labels = list(fam.labels())
@@ -609,6 +622,8 @@ def random_word(ctx, rng, length, sign=None):
         i, j = rng.sample(labels, 2)
         if sign is not None and (i < j) != (sign > 0):
             i, j = j, i
+        if (i, j) in avoid:
+            continue
         a = fam.sample_component(i, j, rng)
         if a != alg.zero:
             letters.append(Letter(i, j, a))

@@ -274,6 +274,20 @@ def test_too_few_blocks_skips_or_exits_two(tmp_path, command, size, want):
         assert any("split_naturality skipped" in w for w in report["warnings"])
 
 
+@pytest.mark.parametrize("command", ["relations", "crossed-module", "tower"])
+def test_zero_ring_exits_two(tmp_path, command):
+    """Over Z/1 no letter is nonzero, so no random word can be drawn."""
+    ring = {"kind": "Mat", "size": 3, "base": {"kind": "Zmod", "m": 1}}
+    cfg = write_config(
+        tmp_path, "zero.json", {"ring": ring, "scale": 0, "k_max": 1, "samples": 2}
+    )
+    code, out, err = run_cli_process([command, "--config", cfg])
+    assert "Traceback" not in err
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and "zero ring" in err
+
+
 @pytest.mark.parametrize("field", ["samples", "k_max", "seed"])
 def test_booleans_are_not_integers(tmp_path, capsys, field):
     cfg = write_config(tmp_path, "bool.json", {"ring": M3Z4, field: True})
@@ -317,3 +331,45 @@ def test_tower_rejects_nested_matrix_ring(tmp_path):
     assert code == 2
     assert out == ""
     assert "config error" in err and "block family" in err
+
+
+M3GF9 = {"kind": "Mat", "size": 3, "base": {"kind": "GF", "p": 3, "f": [1, 0, 1]}}
+M2Z12 = {"kind": "Mat", "size": 2, "base": {"kind": "Zmod", "m": 12}}
+
+
+@pytest.mark.parametrize(
+    "command, ring, field, value",
+    [
+        ("tower", M3GF9, "scale", [1.5, 0]),
+        ("tower", M3GF9, "scale", [1, True]),
+        ("tower", M3GF9, "scale", "1"),
+        ("tower", M3Z12, "scale", True),
+        ("tower", M3Z12, "scale", 2.7),
+        ("tower", M3Z12, "scale", "5"),
+        ("tower", M3Z12, "scale", [5]),
+        ("gauss", M2Z12, "element", [[1, True], [0, 1]]),
+        ("gauss", M2Z12, "element", [[1, 0.5], [0, 1]]),
+        ("gauss", M2Z12, "element", ["12", "01"]),
+    ],
+    ids=[
+        "gf-float-coefficient",
+        "gf-bool-coefficient",
+        "gf-string",
+        "zmod-true",
+        "zmod-float",
+        "zmod-string",
+        "zmod-list",
+        "element-true",
+        "element-float",
+        "element-strings",
+    ],
+)
+def test_ring_elements_must_be_json_integers(tmp_path, command, ring, field, value):
+    cfg = write_config(
+        tmp_path, "elem.json", {"ring": ring, "scale": 2, "k_max": 2, field: value}
+    )
+    code, out, err = run_cli_process([command, "--config", cfg])
+    assert "Traceback" not in err
+    assert code == 2
+    assert out == ""
+    assert "config error: bad %s" % field in err

@@ -34,13 +34,9 @@ from .tower import (
 from .words import (
     Context,
     RankTooSmall,
-    check_relation_instance,
-    commutator,
     exhaustive_relation_grid,
-    gen,
-    random_relation_indices,
     require_blocks,
-    st_eval,
+    sample_relations,
 )
 
 _CONFIG_FIELDS = {
@@ -107,20 +103,20 @@ class InstanceConfig:
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError("bad ring descriptor: %s" % exc)
 
-        family = None
-        if isinstance(ring, MatrixAlgebra):
-            try:
-                family = family_from_json(ring, raw.get("family", "units"))
-            except (BadFamily, ValueError, TypeError, IndexError) as exc:
-                raise ConfigError("bad family descriptor: %s" % exc)
-        elif "family" in raw:
-            raise ConfigError("idempotent families need a matrix ring")
+        if not isinstance(ring, MatrixAlgebra):
+            raise ConfigError(
+                "every command needs a matrix ring ({\"kind\": \"Mat\", ...}), "
+                "got %s" % ring.kind
+            )
+        try:
+            family = family_from_json(ring, raw.get("family", "units"))
+        except (BadFamily, ValueError, TypeError, IndexError) as exc:
+            raise ConfigError("bad family descriptor: %s" % exc)
 
         scale = None
         if "scale" in raw:
-            scalar = ring.scalar_ring if isinstance(ring, MatrixAlgebra) else ring
             try:
-                scale = scalar.element_from_json(raw["scale"])
+                scale = ring.base.element_from_json(raw["scale"])
             except (ValueError, TypeError) as exc:
                 raise ConfigError("bad scale element: %s" % exc)
 
@@ -141,21 +137,15 @@ class InstanceConfig:
 
     def echo(self):
         out = {
+            "family": self.family.to_json(),
             "k_max": self.k_max,
             "ring": self.ring.to_json(),
             "samples": self.samples,
             "seed": self.seed,
             "system": self.system,
         }
-        if self.family is not None:
-            out["family"] = self.family.to_json()
         if self.scale is not None:
-            scalar = (
-                self.ring.scalar_ring
-                if isinstance(self.ring, MatrixAlgebra)
-                else self.ring
-            )
-            out["scale"] = scalar.element_to_json(self.scale)
+            out["scale"] = self.ring.base.element_to_json(self.scale)
         if self.element is not None:
             out["element"] = self.element
         return out
@@ -168,18 +158,11 @@ class InstanceConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _require_family(cfg, command):
-    if cfg.family is None:
-        raise ConfigError("%s needs a matrix ring with an idempotent family" % command)
-    return cfg.family
-
-
 def cmd_relations(cfg, args):
-    fam = _require_family(cfg, "relations")
+    fam = cfg.family
     require_blocks(fam, 2, "the relation suite")  # samples two distinct labels
     rng = random.Random(cfg.seed)
     alg = fam.algebra
-    n = len(list(fam.labels()))
     contexts = [("plain", Context(fam))]
     if cfg.system == "homotope" or cfg.scale is not None:
         if cfg.scale is None:
@@ -188,35 +171,20 @@ def cmd_relations(cfg, args):
         for k in range(cfg.k_max + 1):
             contexts.append(("level-%d" % k, tower.context(k)))
 
+    # below 3 blocks (St3) has no index triple and is reported empty
+    kinds = ("St1", "St2", "St3") if fam.n >= 3 else ("St1", "St2")
     suites = {}
     violations = 0
     for tag, ctx in contexts:
-        per = {}
-        for kind in ("St1", "St2", "St3"):
-            if kind == "St3" and n < 3:
-                per[kind] = {"checked": 0, "violations": 0}
-                continue
-            checked = bad = 0
-            for _ in range(cfg.samples):
-                i, j, k2, l = random_relation_indices(fam, rng, kind)
-                a = fam.sample_component(i, j, rng)
-                if kind == "St1":
-                    b = fam.sample_component(i, j, rng)
-                elif kind == "St2":
-                    b = fam.sample_component(k2, l, rng)
-                else:
-                    b = fam.sample_component(j, k2, rng)
-                if args.inject_fault == "st3-zero" and kind == "St3":
-                    lhs = commutator(gen(ctx, i, j, a), gen(ctx, j, k2, b))
-                    want = alg.one if ctx.scale is None else alg.zero
-                    ok = st_eval(lhs) == want
-                else:
-                    ok = check_relation_instance(ctx, kind, i, j, k2, l, a, b).ok
-                checked += 1
-                bad += not ok
-            per[kind] = {"checked": checked, "violations": bad}
-            violations += bad
-            if args.exhaustive:
+        st3_want = None
+        if args.inject_fault == "st3-zero":
+            want = alg.one if ctx.scale is None else alg.zero
+            st3_want = lambda a, b, want=want: want
+        per = {"St3": {"checked": 0, "violations": 0}}
+        per.update(sample_relations(ctx, rng, kinds, cfg.samples, st3_want))
+        violations += sum(v["violations"] for v in per.values())
+        if args.exhaustive:
+            for kind in kinds:
                 grid = exhaustive_relation_grid(ctx, kind)
                 per[kind + "_exhaustive"] = grid
                 violations += grid["violations"]
@@ -225,7 +193,7 @@ def cmd_relations(cfg, args):
 
 
 def cmd_gauss(cfg, args):
-    fam = _require_family(cfg, "gauss")
+    fam = cfg.family
     alg = fam.algebra
     rng = random.Random(cfg.seed)
     suites = {}
@@ -272,7 +240,7 @@ def cmd_gauss(cfg, args):
 
 
 def cmd_crossed_module(cfg, args):
-    fam = _require_family(cfg, "crossed-module")
+    fam = cfg.family
     rng = random.Random(cfg.seed)
     report = crossed_module_verify(
         fam, rng, samples=cfg.samples, fault=args.inject_fault
@@ -282,27 +250,12 @@ def cmd_crossed_module(cfg, args):
 
 
 def cmd_tower(cfg, args):
-    fam = _require_family(cfg, "tower")
-    if isinstance(fam.algebra.base, MatrixAlgebra):
-        # localizing the scale needs entries in the commutative scalar ring
-        raise ConfigError(
-            "tower runs need a matrix ring over Zmod or GF; write M(n, M(k, A)) "
-            "as M(nk, A) with a block family"
-        )
+    fam = cfg.family
     if cfg.scale is None:
         raise ConfigError("tower runs need a scale element")
-    k_max = cfg.k_max
-    env = os.environ.get("SFORGE_KMAX")
-    if env is not None:
-        try:
-            k_max = int(env)
-        except ValueError:
-            raise ConfigError("SFORGE_KMAX must be an integer, got %r" % env)
-        if k_max < 0:
-            raise ConfigError("SFORGE_KMAX must be nonnegative")
-    tower = HomotopeTower(fam.algebra, cfg.scale, k_max, fam)
+    tower = HomotopeTower(fam.algebra, cfg.scale, cfg.k_max, fam)
     rng = random.Random(cfg.seed)
-    per_level = max(1, cfg.samples // (k_max + 1))
+    per_level = max(1, cfg.samples // (cfg.k_max + 1))
     mutate = "drop-scale" if args.inject_fault == "drop-scale" else None
 
     suites = {}
@@ -399,6 +352,12 @@ def _emit(report, out_dir, run_hash):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.out:
+        # refuse an unusable --out before any work, not after the report
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            parser.error("--out %s is not a usable directory: %s" % (args.out, exc))
     try:
         cfg = InstanceConfig.load(args.config, seed=args.seed, samples=args.samples)
         started = time.perf_counter()

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 
 from .peirce import IdempotentFamily
-from .rings import GF, NotInvertible, SforgeError, Zmod, random_element
+from .rings import NotInvertible, SforgeError, random_element
 from .words import Context, DiagonalElement, Letter, Word, st_eval
 
 
@@ -109,33 +109,17 @@ def _pivot(fam, g, t, Jlabels):
     base = alg.base
     rowsP = sorted(p for j in Jlabels for p in fam.support(j))
     colsT = list(fam.support(t))
-    if isinstance(base, (Zmod, GF)):
-        chosen = {}
-        for field, proj in base.residue_fields():
-            M = tuple(tuple(proj(x) for x in row) for row in g)
-            for cell in _field_pivot_cells(field, M, rowsP, colsT):
-                chosen.setdefault(cell, []).append(field)
-        fields = [f for f, _ in base.residue_fields()]
-        rows = [list(row) for row in alg.zero]
-        for (w, c), _ in chosen.items():
-            vals = [field.one if field in chosen[(w, c)] else field.zero for field in fields]
-            rows[w][c] = base.combine_residues(vals)
-        return tuple(tuple(row) for row in rows)
-    # exhaustive fallback for uncommon bases
-    cells = [(w, c) for w in colsT for c in rowsP]
-    if base.size ** len(cells) > 1 << 16:
-        raise PivotSearchFailed("component too large for exhaustive pivot search")
-    eJ = _sum_idem(fam, Jlabels)
-    comp = alg.sub(alg.one, eJ)
-    for fill in itertools.product(base.elements(), repeat=len(cells)):
-        rows = [list(row) for row in alg.zero]
-        for (w, c), v in zip(cells, fill):
-            rows[w][c] = v
-        a = tuple(tuple(row) for row in rows)
-        delta = fam.project(alg.mul(g, alg.add(alg.one, a)), Jlabels, Jlabels)
-        if alg.is_unit(alg.add(delta, comp)):
-            return a
-    raise PivotSearchFailed("exhausted pivot candidates")
+    chosen = {}
+    for field, proj in base.residue_fields():
+        M = tuple(tuple(proj(x) for x in row) for row in g)
+        for cell in _field_pivot_cells(field, M, rowsP, colsT):
+            chosen.setdefault(cell, []).append(field)
+    fields = [f for f, _ in base.residue_fields()]
+    rows = [list(row) for row in alg.zero]
+    for (w, c), fixed_in in chosen.items():
+        vals = [field.one if field in fixed_in else field.zero for field in fields]
+        rows[w][c] = base.combine_residues(vals)
+    return tuple(tuple(row) for row in rows)
 
 
 def _sum_idem(fam, labels):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 
 from .rings import MatrixAlgebra, SforgeError
+from .roots import Root, RootSystemA
 
 
 class BadFamily(SforgeError):
@@ -174,15 +175,9 @@ class IdempotentFamily:
         """
         if p == q:
             raise IndexClash("cannot merge a block with itself")
-        keep = [t for t in self.labels() if t not in (p, q)]
-        new_blocks = [self.blocks[t - 1] for t in keep]
-        new_blocks.append(tuple(sorted(self.blocks[p - 1] + self.blocks[q - 1])))
-        coarse = IdempotentFamily(self.algebra, new_blocks)
-        label_map = {t: k + 1 for k, t in enumerate(keep)}
-        merged_label = len(keep) + 1
-        label_map[p] = merged_label
-        label_map[q] = merged_label
-        return coarse, Refinement(self, coarse, (p, q), merged_label, label_map)
+        quo, label_map = RootSystemA(0, self.blocks).quotient(Root(p, q))
+        coarse = IdempotentFamily(self.algebra, quo.classes)
+        return coarse, Refinement(self, coarse, (p, q), label_map)
 
     def to_json(self):
         return {"blocks": [list(b) for b in self.blocks]}
@@ -204,11 +199,10 @@ class IdempotentFamily:
 class Refinement:
     """Bookkeeping for one merge step between a fine and a coarse family."""
 
-    def __init__(self, fine, coarse, fine_pair, merged_label, label_map):
+    def __init__(self, fine, coarse, fine_pair, label_map):
         self.fine = fine
         self.coarse = coarse
         self.fine_pair = fine_pair
-        self.merged_label = merged_label
         self.label_map = label_map
         self.fine_of = {}
         for f, c in label_map.items():

@@ -14,8 +14,8 @@ GF arithmetic is table-driven: each field builds log, antilog, Zech and
 negation tables once, at construction, in O(q) time and memory for
 q = p^d, after which every field operation is a lookup.
 
-Matrix algebras may be nested; determinants and inverses of nested matrices
-are computed after flattening down to a commutative base.  They cost
+Matrix algebras are flat: their base is Zmod or GF, and M(n, M(k, A)) is
+written as M(nk, A) with a block family.  Determinants and inverses cost
 O(n^3) base operations, by exact elimination: over Z/m, unimodular 2x2
 row steps built from the extended gcd of two entries triangularise the
 matrix (one loop covers prime powers and mixed moduli, with no CRT
@@ -487,6 +487,11 @@ class MatrixAlgebra:
     def __init__(self, base, n):
         if n < 1:
             raise ValueError("matrix size must be positive")
+        if isinstance(base, MatrixAlgebra):
+            raise ValueError(
+                "matrix rings are flat: write M(n, M(k, A)) as M(nk, A) with a "
+                "block family"
+            )
         self.base = base
         self.n = n
         self.zero = tuple(tuple(base.zero for _ in range(n)) for _ in range(n))
@@ -612,7 +617,7 @@ class MatrixAlgebra:
 
     @property
     def scalar_ring(self):
-        return self.base.scalar_ring
+        return self.base
 
     def scalar_mul(self, s, a):
         m = self._mod
@@ -621,36 +626,22 @@ class MatrixAlgebra:
         base = self.base
         return tuple(tuple(base.scalar_mul(s, x) for x in row) for row in a)
 
-    def _flatten(self, a):
-        """(flat commutative-base algebra, flattened element of it)."""
-        if not isinstance(self.base, MatrixAlgebra):
-            return self, a
-        bn = self.base.n
-        big = self.n * bn
-        rows = tuple(
-            tuple(a[r // bn][c // bn][r % bn][c % bn] for c in range(big))
-            for r in range(big)
-        )
-        flat_alg = MatrixAlgebra(self.base.base, big)
-        return flat_alg._flatten(rows)
-
     def det(self, a):
-        """The determinant, by elimination on the flattened matrix: O(n^3).
+        """The determinant, by elimination: O(n^3).
 
         Over Z/m, unimodular gcd row steps on integer representatives
         triangularise it, and the determinant is the signed product of the
         diagonal.  Over a field, Gauss elimination with a nonzero pivot.
         """
-        alg, flat = self._flatten(a)
-        rows = [list(r) for r in flat]
-        n = alg.n
-        m = alg._mod
+        rows = [list(r) for r in a]
+        n = self.n
+        m = self._mod
         if m is not None:
             d = _zmod_triangularise(rows, n, m, need_units=False)
             for k in range(n):
                 d = d * rows[k][k] % m
             return d % m
-        F = alg.base
+        F = self.base
         d = F.one
         for k in range(n):
             sign = _field_pivot(F, rows, k, n)
@@ -665,8 +656,7 @@ class MatrixAlgebra:
         return d
 
     def is_unit(self, a):
-        alg, flat = self._flatten(a)
-        return alg.base.is_unit(alg.det(flat))
+        return self.base.is_unit(self.det(a))
 
     def inv(self, a):
         """The inverse, by elimination on [a | 1]: O(n^3).
@@ -676,12 +666,7 @@ class MatrixAlgebra:
         NotInvertible is raised at the first that is not.  Scaling each row
         by its diagonal inverse and back-substituting leaves the inverse on
         the right.  Over a field, Gauss-Jordan with a nonzero pivot.
-        Nested matrices are inverted after flattening.
         """
-        if isinstance(self.base, MatrixAlgebra):
-            alg, flat = self._flatten(a)
-            fi = alg.inv(flat)
-            return self._unflatten(fi)
         n = self.n
         rows = [list(r) + list(e) for r, e in zip(a, self.one)]
         m = self._mod
@@ -705,21 +690,6 @@ class MatrixAlgebra:
                 if i != k and rows[i][k] != F.zero:
                     _sub_multiple(F, rows[i], rk, rows[i][k], k)
         return tuple(tuple(r[n:]) for r in rows)
-
-    def _unflatten(self, flat):
-        bn = self.base.n
-        return tuple(
-            tuple(
-                self.base.element(
-                    [
-                        [flat[i * bn + r][j * bn + c] for c in range(bn)]
-                        for r in range(bn)
-                    ]
-                )
-                for j in range(self.n)
-            )
-            for i in range(self.n)
-        )
 
     def to_json(self):
         return {"base": self.base.to_json(), "kind": "Mat", "size": self.n}

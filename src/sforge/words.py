@@ -572,12 +572,7 @@ def exhaustive_relation_grid(ctx, kind, cap=256):
     fam = ctx.family
     checked = bad = skipped = 0
     for i, j, k, l in relation_index_tuples(fam, kind):
-        if kind == "St1":
-            second = (i, j)
-        elif kind == "St2":
-            second = (k, l)
-        else:
-            second = (j, k)
+        second = _second_component(kind, i, j, k, l)
         if fam.component_size(i, j) > cap or fam.component_size(*second) > cap:
             skipped += 1
             continue
@@ -587,6 +582,43 @@ def exhaustive_relation_grid(ctx, kind, cap=256):
                 checked += 1
                 bad += not ok
     return {"checked": checked, "violations": bad, "tuples_skipped": skipped}
+
+
+def _second_component(kind, i, j, k, l):
+    """The component (row, col) of the second payload b of a relation."""
+    if kind == "St1":
+        return i, j
+    if kind == "St2":
+        return k, l
+    return j, k
+
+
+def sample_relations(ctx, rng, kinds, samples, st3_want=None):
+    """Check `samples` random instances of each relation in kinds, in order.
+
+    Each instance draws its index tuple, then a in R_ij, then b from the
+    component _second_component names.  With st3_want, an (St3) instance
+    compares the st image of the commutator with st3_want(a, b) instead of
+    checking the relation; the injected faults `st3-zero` and `drop-scale`
+    corrupt the identity this way.  Returns {kind: {"checked",
+    "violations"}}.
+    """
+    fam = ctx.family
+    out = {}
+    for kind in kinds:
+        bad = 0
+        for _ in range(samples):
+            i, j, k, l = random_relation_indices(fam, rng, kind)
+            a = fam.sample_component(i, j, rng)
+            b = fam.sample_component(*_second_component(kind, i, j, k, l), rng)
+            if kind == "St3" and st3_want is not None:
+                lhs = commutator(gen(ctx, i, j, a), gen(ctx, j, k, b))
+                ok = st_eval(lhs) == st3_want(a, b)
+            else:
+                ok = check_relation_instance(ctx, kind, i, j, k, l, a, b).ok
+            bad += not ok
+        out[kind] = {"checked": samples, "violations": bad}
+    return out
 
 
 def random_relation_indices(fam, rng, kind):

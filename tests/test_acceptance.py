@@ -15,7 +15,6 @@ from sforge import (
     IdempotentFamily,
     MatrixAlgebra,
     Zmod,
-    check_relation_instance,
     crossed_module_verify,
     enumerate_gl,
     exhaustive_relation_grid,
@@ -24,10 +23,10 @@ from sforge import (
     g_alpha,
     gauss_decompose,
     presentation_relation_check,
-    random_relation_indices,
     random_word,
     reduce_word,
     sample_gl,
+    sample_relations,
     scaled_operator_suite,
     st_eval,
     tower_relation_suite,
@@ -64,19 +63,11 @@ def test_criterion_1_relation_suite():
         for m in (2, 3, 4):
             fam = _matrix_units(m, n)
             ctx = Context(fam)
-            for kind in ("St1", "St2", "St3"):
-                for _ in range(RELATION_SAMPLES):
-                    i, j, k, l = random_relation_indices(fam, rng, kind)
-                    a = fam.sample_component(i, j, rng)
-                    if kind == "St1":
-                        b = fam.sample_component(i, j, rng)
-                    elif kind == "St2":
-                        b = fam.sample_component(k, l, rng)
-                    else:
-                        b = fam.sample_component(j, k, rng)
-                    res = check_relation_instance(ctx, kind, i, j, k, l, a, b)
-                    sampled += 1
-                    bad += not res.ok
+            kinds = ("St1", "St2", "St3")
+            for res in sample_relations(ctx, rng, kinds, RELATION_SAMPLES).values():
+                sampled += res["checked"]
+                bad += res["violations"]
+            for kind in kinds:
                 grid = exhaustive_relation_grid(ctx, kind, cap=256)
                 exhausted += grid["checked"]
                 bad += grid["violations"]

@@ -126,7 +126,7 @@ def test_sample_override_is_echoed(relations_config, capsys):
     assert report["suites"]["plain"]["St1"]["checked"] == 5
 
 
-def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
+def test_usage_errors_exit_two(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["relations", "--config", missing]) == 2
 
@@ -143,9 +143,10 @@ def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
     no_scale = write_config(tmp_path, "noscale.json", {"ring": M3Z4})
     assert main(["tower", "--config", no_scale]) == 2
 
-    scaled = write_config(tmp_path, "scaled.json", {"ring": M3Z4, "scale": 2})
-    monkeypatch.setenv("SFORGE_KMAX", "many")
-    assert main(["tower", "--config", scaled]) == 2
+    many = write_config(
+        tmp_path, "many.json", {"ring": M3Z4, "scale": 2, "k_max": "many"}
+    )
+    assert main(["tower", "--config", many]) == 2
     capsys.readouterr()
 
 
@@ -211,9 +212,13 @@ def test_gauss_single_element_paths(tmp_path, capsys):
     assert suite["reconstructed"] is False and "error" in suite
 
 
-def test_kmax_env_zero_warns_inconclusive(tower_config, capsys, monkeypatch):
-    monkeypatch.setenv("SFORGE_KMAX", "0")
-    code, out, _ = run_main(capsys, ["tower", "--config", tower_config])
+def test_kmax_zero_warns_inconclusive(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        "k0.json",
+        {"ring": M3Z12, "scale": 2, "system": "homotope", "k_max": 0, "seed": 3},
+    )
+    code, out, _ = run_main(capsys, ["tower", "--config", cfg])
     assert code == 0
     report = json.loads(out)
     assert report["verdict"] == "warn"
@@ -319,18 +324,67 @@ def test_ring_descriptor_fields_must_be_integers(tmp_path, field, ring):
     assert "bad ring descriptor" in err and "'%s'" % field in err
 
 
-def test_tower_rejects_nested_matrix_ring(tmp_path):
+COMMANDS = ("relations", "gauss", "crossed-module", "tower")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_rejects_nested_matrix_ring(tmp_path, command):
     inner = {"kind": "Mat", "size": 2, "base": {"kind": "Zmod", "m": 4}}
     cfg = write_config(
         tmp_path,
         "nested.json",
         {"ring": {"kind": "Mat", "size": 3, "base": inner}, "scale": 2, "k_max": 2},
     )
-    code, out, err = run_cli_process(["tower", "--config", cfg])
+    code, out, err = run_cli_process([command, "--config", cfg])
     assert "Traceback" not in err
     assert code == 2
     assert out == ""
-    assert "config error" in err and "block family" in err
+    assert "config error" in err and "M(nk, A) with a block family" in err
+
+
+@pytest.mark.parametrize("command", ["gauss", "crossed-module"])
+def test_block_family_form_of_nested_ring_runs(tmp_path, command):
+    """M(3, M(2, Z/4)) written as M(6, Z/4) with three 2 x 2 blocks."""
+    cfg = write_config(
+        tmp_path,
+        "blocks.json",
+        {
+            "ring": {"kind": "Mat", "size": 6, "base": {"kind": "Zmod", "m": 4}},
+            "family": {"blocks": [[0, 1], [2, 3], [4, 5]]},
+            "samples": 5,
+        },
+    )
+    code, out, err = run_cli_process([command, "--config", cfg])
+    assert "Traceback" not in err
+    assert code == 0
+    assert json.loads(out)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_bare_base_ring_is_a_config_error(tmp_path, command):
+    cfg = write_config(
+        tmp_path, "bare.json", {"ring": {"kind": "Zmod", "m": 4}, "scale": 2}
+    )
+    code, out, err = run_cli_process([command, "--config", cfg])
+    assert "Traceback" not in err
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and "matrix ring" in err
+
+
+def test_out_that_is_a_file_exits_two_before_any_work(tmp_path):
+    cfg = write_config(tmp_path, "g.json", {"ring": M2F2, "samples": 2})
+    taken = tmp_path / "somefile"
+    taken.write_text("keep", encoding="utf-8")
+    for out_dir in (taken, taken / "runs"):
+        code, out, err = run_cli_process(
+            ["gauss", "--config", cfg, "--out", str(out_dir)]
+        )
+        assert "Traceback" not in err
+        assert code == 2
+        assert out == ""
+        assert "--out" in err and "not a usable directory" in err
+    assert taken.read_text(encoding="utf-8") == "keep"
 
 
 M3GF9 = {"kind": "Mat", "size": 3, "base": {"kind": "GF", "p": 3, "f": [1, 0, 1]}}

@@ -1,7 +1,8 @@
 """Generated configs through the CLI: no traceback, and deterministic reports.
 
 Every command runs in process through ``cli.main`` on config dicts over
-tiny rings (Z/m with m <= 12, GF(4), GF(9); matrix size <= 3).  Each
+tiny rings (Z/m with m <= 12, GF(4), GF(9), and the nested M(2, Z/2) that
+every command refuses; matrix size <= 3).  Each
 field is usually valid, and now and then a JSON value of the wrong type:
 a boolean, a float, a string, a list or null.  Whatever the config, the
 exit code is 0, 1 or 2, no exception escapes, and the same config prints
@@ -23,7 +24,12 @@ COMMANDS = ("relations", "gauss", "crossed-module", "tower")
 BASES = st.one_of(
     st.builds(lambda m: {"kind": "Zmod", "m": m}, st.integers(1, 12)),
     st.sampled_from(
-        [{"kind": "GF", "p": 2, "f": [1, 1, 1]}, {"kind": "GF", "p": 3, "f": [1, 0, 1]}]
+        [
+            {"kind": "GF", "p": 2, "f": [1, 1, 1]},
+            {"kind": "GF", "p": 3, "f": [1, 0, 1]},
+            # nested matrix rings are rejected: M(n, M(k, A)) is M(nk, A)
+            {"kind": "Mat", "size": 2, "base": {"kind": "Zmod", "m": 2}},
+        ]
     ),
 )
 

@@ -108,12 +108,15 @@ def test_every_short_word_matches_dense(fam):
 
 
 @pytest.mark.parametrize(
-    "alg",
-    [MatrixAlgebra(Zmod(12), 4), MatrixAlgebra(MatrixAlgebra(Zmod(4), 2), 3)],
+    "fam",
+    [
+        IdempotentFamily.matrix_units(MatrixAlgebra(Zmod(12), 4)),
+        # M(3, M(2, Z/4)), written as M(6, Z/4) with three 2 x 2 blocks
+        IdempotentFamily(MatrixAlgebra(Zmod(4), 6), [[0, 1], [2, 3], [4, 5]]),
+    ],
     ids=["M4Z12", "M3-M2Z4"],
 )
-def test_random_eight_letter_words_match_dense(alg):
-    fam = IdempotentFamily.matrix_units(alg)
+def test_random_eight_letter_words_match_dense(fam):
     ctx = Context(fam)
     rng = random.Random(104729)
     for _ in range(30):

@@ -113,9 +113,6 @@ class Zmod:
     def scalar_mul(self, s, a):
         return (s * a) % self.m
 
-    def is_field(self):
-        return _is_prime(self.m)
-
     def residue_fields(self):
         """Pairs (field, project) covering the maximal ideals; CRT-combinable."""
         return [(Zmod(p), (lambda x, p=p: x % p)) for p in _prime_factors(self.m)]
@@ -360,9 +357,6 @@ class GF:
 
     def scalar_mul(self, s, a):
         return self.mul(s, a)
-
-    def is_field(self):
-        return True
 
     def residue_fields(self):
         return [(self, lambda x: x)]

@@ -101,19 +101,6 @@ class RootSystemA:
         """The underlying partition as a canonical frozenset of frozensets."""
         return frozenset(frozenset(c) for c in self.classes)
 
-    def automorphism_generators(self):
-        """Adjacent transpositions plus global negation, as callables on roots."""
-        gens = []
-        for t in range(1, self.k):
-
-            def swap(r, a=t, b=t + 1):
-                f = lambda x: b if x == a else (a if x == b else x)
-                return Root(f(r.row), f(r.col))
-
-            gens.append(swap)
-        gens.append(lambda r: r.negated())
-        return gens
-
     def automorphism_group(self):
         """All (permutation, flip) automorphisms, as callables; size 2 * k!."""
         out = []

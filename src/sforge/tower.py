@@ -221,13 +221,6 @@ class ScaledOperator(TowerMorphism):
         return hash((self.kind, self.num, self.den))
 
 
-def scaled_op_apply(tower, op, x):
-    """Apply num/s^den to a leveled element, landing den levels lower."""
-    if x.level < op.shift:
-        raise LevelMismatch("element level %d cannot absorb shift %d" % (x.level, op.shift))
-    return HomotopeElement(x.level - op.shift, op.component(x.payload))
-
-
 class EquivVerdict:
     """Outcome of a budgeted pre-morphism comparison.
 

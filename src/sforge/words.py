@@ -12,8 +12,12 @@ Contexts:
                      landing in the quasi-invertible elements at that scale
 
 The three equality oracles, from strongest to weakest evidence:
-literal/reduced word identity, normal form on a common unipotent support
-(exact, since st is injective there), and equality of st images.
+literal/reduced word identity, normal form on a common unipotent support,
+and equality of st images.  st is injective on U+ and on U- (Milnor,
+Introduction to Algebraic K-Theory, 1971), and the normal form of a
+supported word is a function of its st image and its triangle, so on a
+common unipotent support one st comparison already decides equality in
+the Steinberg group exactly; no normal form need be computed for it.
 """
 
 from __future__ import annotations
@@ -96,11 +100,16 @@ class Word:
         return Word(self.context, self.letters + other.letters)
 
     def inverse(self):
-        alg = self.context.algebra
-        return Word(
-            self.context,
-            tuple(Letter(L.i, L.j, alg.neg(L.a)) for L in reversed(self.letters)),
-        )
+        """x_ij(a)^-1 = x_ij(-a), letters reversed; only the cells of R_ij
+        are negated, since a payload is zero off them."""
+        fam = self.context.family
+        neg = fam.algebra.base.neg
+        out = []
+        for L in reversed(self.letters):
+            cells = fam.cells(L.i, L.j)
+            a = fam._from_cells(cells, [neg(L.a[r][c]) for r, c in cells])
+            out.append(Letter(L.i, L.j, a))
+        return Word(self.context, tuple(out))
 
     def __len__(self):
         return len(self.letters)
@@ -275,23 +284,29 @@ def u_normal_form(w):
     return Word(w.context, tuple(out))
 
 
+def _common_support(w1, w2):
+    """Do two plain words lie in one of U+ and U-?  An empty support fits
+    either triangle."""
+    if w1.context.scale is not None:
+        return False
+    s1, s2 = support_sign(w1), support_sign(w2)
+    return s1 is not None and s2 is not None and (s1 == s2 or 0 in (s1, s2))
+
+
 def equal_words(w1, w2):
     """(verdict, oracle): graded equality check between two words.
 
-    Tries reduced-word identity, then common-support normal forms (exact),
-    then st-image equality (necessary; exact on unipotent support).
+    Tries reduced-word identity, then st-image equality.  On a common
+    unipotent support of a plain context that comparison is graded
+    "normal-form": st is injective on U+ and on U-, and the normal form is
+    a function of the st image there, so the two words have equal normal
+    forms exactly when their images agree.  Elsewhere equal images are
+    necessary only, graded "st".
     """
     if reduce_word(w1) == reduce_word(w2):
         return True, "word"
-    s1, s2 = support_sign(w1), support_sign(w2)
-    if (
-        w1.context.scale is None
-        and s1 is not None
-        and s2 is not None
-        and (s1 == s2 or 0 in (s1, s2))
-    ):
-        return u_normal_form(w1) == u_normal_form(w2), "normal-form"
-    return st_eval(w1) == st_eval(w2), "st"
+    oracle = "normal-form" if _common_support(w1, w2) else "st"
+    return st_eval(w1) == st_eval(w2), oracle
 
 
 class RelationCheck(NamedTuple):
@@ -300,16 +315,15 @@ class RelationCheck(NamedTuple):
     relation: str
 
 
-def _nf_agrees(wl, wr):
-    return u_normal_form(wl) == u_normal_form(wr)
-
-
 def check_relation_instance(ctx, kind, i, j, k=None, l=None, a=None, b=None):
     """Check one instance of (St1), (St2) or (St3) under st.
 
     In a homotope context the (St3) right side is scaled by the context
-    scale.  For plain instances whose two sides share unipotent support,
-    the normal-form oracle is applied as well.
+    scale.  A holding plain instance whose two sides share a unipotent
+    support is graded "st+normal-form": st is injective on U+ and on U-,
+    so there the st comparison is exact, and it agrees with comparing the
+    two normal forms, which are functions of the st images.  Otherwise
+    the grade is "st".
     """
     alg = ctx.algebra
     if kind == "St1":
@@ -333,12 +347,7 @@ def check_relation_instance(ctx, kind, i, j, k=None, l=None, a=None, b=None):
     else:
         raise ValueError("unknown relation %r" % (kind,))
     ok = st_eval(lhs) == st_eval(rhs)
-    oracle = "st"
-    if ok and ctx.scale is None:
-        s1, s2 = support_sign(lhs), support_sign(rhs)
-        if s1 is not None and s2 is not None and (s1 == s2 or 0 in (s1, s2)):
-            ok = _nf_agrees(lhs, rhs)
-            oracle = "st+normal-form"
+    oracle = "st+normal-form" if ok and _common_support(lhs, rhs) else "st"
     return RelationCheck(ok, oracle, kind)
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sforge import (
+    GF,
     Context,
     DiagonalElement,
     IdempotentFamily,
@@ -28,12 +29,15 @@ from sforge import (
     random_relation_indices,
     random_word,
     reduce_word,
+    sample_relations,
     st_eval,
     u_normal_form,
     word,
     word_from_json,
     word_to_json,
 )
+from sforge import words as words_module
+from sforge.words import relation_index_tuples, support_sign
 
 
 @pytest.fixture
@@ -320,3 +324,127 @@ def test_additivity_matches_integer_model(vals):
     rhs = gen(ctx, 1, 2, A.scalar_mul(A.base.element(sum(vals)), A.unit_matrix(0, 1, 1)))
     assert st_eval(lhs) == st_eval(rhs)
     assert u_normal_form(lhs) == u_normal_form(rhs)
+
+
+def _relation_sides(ctx, kind, i, j, k, l, a, b):
+    """The two sides of a relation instance, built independently of
+    check_relation_instance."""
+    alg = ctx.algebra
+    if kind == "St1":
+        return gen(ctx, i, j, a) * gen(ctx, i, j, b), gen(ctx, i, j, alg.add(a, b))
+    if kind == "St2":
+        return commutator(gen(ctx, i, j, a), gen(ctx, k, l, b)), word(ctx, [])
+    return commutator(gen(ctx, i, j, a), gen(ctx, j, k, b)), gen(ctx, i, k, alg.mul(a, b))
+
+
+def _common_support(w1, w2):
+    s1, s2 = support_sign(w1), support_sign(w2)
+    return s1 is not None and s2 is not None and (s1 == s2 or 0 in (s1, s2))
+
+
+RELATION_GRIDS = {
+    "M3-Z4-units": (Zmod(4), 3, None),
+    "M3-GF4-units": (GF(2, [1, 1, 1]), 3, None),
+    "M3-Z2-[[0,1],[2]]": (Zmod(2), 3, [[0, 1], [2]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RELATION_GRIDS))
+def test_relation_st_comparison_matches_normal_form_oracle(name, monkeypatch):
+    """On a common unipotent support, comparing normal forms (the oracle
+    check_relation_instance used to run after st) agrees with comparing st
+    images, on every instance of the exhaustive grid.  A corrupted (St3)
+    right side, a*b plus a unit on its first cell, is flagged by
+    check_relation_instance and, where it applies, by the normal forms."""
+    base, n, blocks = RELATION_GRIDS[name]
+    A = MatrixAlgebra(base, n)
+    fam = IdempotentFamily.matrix_units(A) if blocks is None else IdempotentFamily(A, blocks)
+    ctx = Context(fam)
+    graded = corrupted = 0
+    for kind in ("St1", "St2", "St3"):
+        count = 0
+        for i, j, k, l in relation_index_tuples(fam, kind):
+            second = {"St1": (i, j), "St2": (k, l), "St3": (j, k)}[kind]
+            for a in fam.component_elements(i, j):
+                for b in fam.component_elements(*second):
+                    count += 1
+                    lhs, rhs = _relation_sides(ctx, kind, i, j, k, l, a, b)
+                    st_equal = st_eval(lhs) == st_eval(rhs)
+                    res = check_relation_instance(ctx, kind, i, j, k, l, a, b)
+                    assert res.ok == st_equal
+                    if not _common_support(lhs, rhs):
+                        assert res.oracle == "st"
+                        continue
+                    nf_equal = u_normal_form(lhs) == u_normal_form(rhs)
+                    assert nf_equal == st_equal
+                    assert res.oracle == ("st+normal-form" if st_equal else "st")
+                    graded += 1
+                    if kind != "St3":
+                        continue
+                    r, c = fam.cells(i, k)[0]
+                    bad_c = A.add(A.mul(a, b), A.unit_matrix(r, c))
+                    with monkeypatch.context() as mp:
+                        mp.setattr(A, "mul", lambda x, y: bad_c)
+                        res = check_relation_instance(ctx, kind, i, j, k, l, a, b)
+                    assert res == (False, "st", "St3")
+                    bad = gen(ctx, i, k, bad_c)
+                    if _common_support(lhs, bad):
+                        assert u_normal_form(lhs) != u_normal_form(bad)
+                        corrupted += 1
+        grid = exhaustive_relation_grid(ctx, kind)
+        assert grid == {"checked": count, "violations": 0, "tuples_skipped": 0}
+    assert graded > 0
+    assert corrupted > 0 or fam.n < 3
+
+
+def test_relation_checks_compute_no_normal_form(plain, rng, monkeypatch):
+    """Relation checks and common-support word equality compare st images
+    once; none of them computes a normal form."""
+
+    def refuse(w):
+        raise AssertionError("u_normal_form called")
+
+    monkeypatch.setattr(words_module, "u_normal_form", refuse)
+    fam = plain.family
+    a = fam.sample_component(1, 2, rng)
+    b = fam.sample_component(2, 3, rng)
+    res = check_relation_instance(plain, "St3", 1, 2, 3, a=a, b=b)
+    assert res == (True, "st+normal-form", "St3")
+    res = check_relation_instance(plain, "St1", 1, 2, a=a, b=a)
+    assert res == (True, "st+normal-form", "St1")
+    out = sample_relations(plain, rng, ("St1", "St2", "St3"), 50)
+    assert all(v == {"checked": 50, "violations": 0} for v in out.values())
+    A = plain.algebra
+    x12 = gen(plain, 1, 2, A.unit_matrix(0, 1))
+    x23 = gen(plain, 2, 3, A.unit_matrix(1, 2))
+    assert equal_words(x12 * x23, x23 * x12) == (False, "normal-form")
+    assert equal_words(commutator(x12, x23), gen(plain, 1, 3, A.unit_matrix(0, 2))) == (
+        True,
+        "normal-form",
+    )
+
+
+INVERSE_CASES = {
+    "M3-Z12-[[0,1],[2]]": Zmod(12),
+    "M3-GF9-[[0,1],[2]]": GF(3, [1, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVERSE_CASES))
+def test_inverse_negates_only_the_letter_cells(name, monkeypatch):
+    A = MatrixAlgebra(INVERSE_CASES[name], 3)
+    ctx = Context(IdempotentFamily(A, [[0, 1], [2]]))
+    rng = random.Random(7)
+    words = [random_word(ctx, rng, rng.randrange(1, 8)) for _ in range(40)]
+    want = [
+        tuple((L.i, L.j, A.neg(L.a)) for L in reversed(w.letters)) for w in words
+    ]
+
+    def refuse(self, a):
+        raise AssertionError("MatrixAlgebra.neg called")
+
+    monkeypatch.setattr(MatrixAlgebra, "neg", refuse)
+    for w, expected in zip(words, want):
+        inv = w.inverse()
+        assert tuple(inv.letters) == expected
+        assert A.mul(st_eval(w), st_eval(inv)) == A.one

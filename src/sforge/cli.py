@@ -176,12 +176,8 @@ def cmd_relations(cfg, args):
     suites = {}
     violations = 0
     for tag, ctx in contexts:
-        st3_want = None
-        if args.inject_fault == "st3-zero":
-            want = alg.one if ctx.scale is None else alg.zero
-            st3_want = lambda a, b, want=want: want
         per = {"St3": {"checked": 0, "violations": 0}}
-        per.update(sample_relations(ctx, rng, kinds, cfg.samples, st3_want))
+        per.update(sample_relations(ctx, rng, kinds, cfg.samples, args.inject_fault))
         violations += sum(v["violations"] for v in per.values())
         if args.exhaustive:
             for kind in kinds:

@@ -131,23 +131,28 @@ def _sum_idem(fam, labels):
 
 
 def _row_letters(fam, t, Jlabels, x):
-    alg = fam.algebra
+    """The nonzero letters x_tj(e_t x e_j), j in J, of the matrix x."""
     out = []
     for j in Jlabels:
         v = fam.project(x, t, j)
-        if v != alg.zero:
+        if not fam.is_zero(v):
             out.append(Letter(t, j, v))
     return out
 
 
 def _col_letters(fam, t, Jlabels, y):
-    alg = fam.algebra
+    """The nonzero letters x_jt(e_j y e_t), j in J, of the matrix y."""
     out = []
     for j in Jlabels:
         v = fam.project(y, j, t)
-        if v != alg.zero:
+        if not fam.is_zero(v):
             out.append(Letter(j, t, v))
     return out
+
+
+def _cut(fam, m, I, J):
+    """e_I m e_J as an n x n matrix, for the dense block products below."""
+    return fam.to_matrix(fam.project(m, I, J), I, J)
 
 
 def _block_step(fam, g, t, Jlabels):
@@ -164,19 +169,21 @@ def _block_step(fam, g, t, Jlabels):
     a = _pivot(fam, g, t, Jlabels)
     g1 = alg.mul(g, alg.add(alg.one, a))
     delta = fam.project(g1, Jlabels, Jlabels)
-    delta_full = alg.add(delta, comp)
     try:
-        delta_inv = fam.corner_inv(delta, Jlabels)
+        delta_inv = fam.to_matrix(fam.corner_inv(delta, Jlabels), Jlabels, Jlabels)
     except NotInvertible:
         raise PivotSearchFailed("pivot did not make the corner invertible") from None
-    gamma_JI = fam.project(g1, Jlabels, t)
-    gamma_IJ = fam.project(g1, t, Jlabels)
+    delta = fam.to_matrix(delta, Jlabels, Jlabels)
+    delta_full = alg.add(delta, comp)
+    gamma_JI = _cut(fam, g1, Jlabels, t)
+    gamma_IJ = _cut(fam, g1, t, Jlabels)
     b = alg.neg(alg.mul(delta_inv, gamma_JI))
     u = fam.project(alg.mul(g1, alg.add(alg.one, b)), t, t)
     try:
-        u_inv = fam.corner_inv(u, t)
+        u_inv = fam.to_matrix(fam.corner_inv(u, t), t, t)
     except NotInvertible:
         raise PivotSearchFailed("leading corner not invertible after clearing") from None
+    u = fam.to_matrix(u, t, t)
     c = alg.mul(gamma_IJ, delta_inv)
     upper2 = alg.neg(alg.mul(u, alg.mul(a, delta_inv)))
     lower = alg.neg(alg.mul(delta, alg.mul(b, u_inv)))
@@ -193,7 +200,7 @@ def _decompose_rec(fam, g, t):
     alg = fam.algebra
     n = fam.n
     if t == n:
-        return [], [], [], {n: fam.project(g, n, n)}
+        return [], [], [], {n: _cut(fam, g, n, n)}
     Jlabels = tuple(j for j in fam.labels() if j > t)
     t_plus, t_minus, t_plus2, u, delta_full = _block_step(fam, g, t, Jlabels)
     v_plus, v_minus, v_plus2, dcomp = _decompose_rec(fam, delta_full, t + 1)
@@ -206,11 +213,11 @@ def _decompose_rec(fam, g, t):
     conj2 = alg.mul(
         st_eval(w_all.inverse()), alg.mul(st_eval(Word(ctx, t_plus2)), st_eval(w_all))
     )
-    t_plus2_moved = _row_letters(fam, t, Jlabels, fam.project(conj2, t, Jlabels))
+    t_plus2_moved = _row_letters(fam, t, Jlabels, conj2)
     conjm = alg.mul(
         st_eval(w_vp.inverse()), alg.mul(st_eval(Word(ctx, t_minus)), st_eval(w_vp))
     )
-    t_minus_moved = _col_letters(fam, t, Jlabels, fam.project(conjm, Jlabels, t))
+    t_minus_moved = _col_letters(fam, t, Jlabels, conjm)
     dcomp[t] = u
     return (
         t_plus + v_plus,
@@ -305,6 +312,8 @@ def presentation_relation_check(fam, i, rng=None, samples=None, word_samples=0):
     alg = fam.algebra
     j = i + 1
     ctx = Context(fam)
+    zero_ij = (alg.base.zero,) * len(fam.cells(i, j))
+    zero_ji = (alg.base.zero,) * len(fam.cells(j, i))
     checked = skipped = 0
     diagonal_words = 0
     violations = []
@@ -316,15 +325,15 @@ def presentation_relation_check(fam, i, rng=None, samples=None, word_samples=0):
         checked += 1
         t_plus, t_minus, t_plus2, u, delta_full = _block_step(fam, g, i, (j,))
         pairs = [
-            (_first_payload(alg, fam, t_plus, i, j), _first_payload(alg, fam, t_minus, j, i)),
-            (_first_payload(alg, fam, t_plus2, i, j), alg.zero),
-            (alg.zero, alg.zero),
+            (_first_payload(t_plus, zero_ij), _first_payload(t_minus, zero_ji)),
+            (_first_payload(t_plus2, zero_ij), zero_ji),
+            (zero_ij, zero_ji),
         ]
-        used = sum(1 for a, b in pairs if (a, b) != (alg.zero, alg.zero))
+        used = sum(1 for a, b in pairs if (a, b) != (zero_ij, zero_ji))
         max_pairs = max(max_pairs, used)
         letters = [L for a, b in pairs for L in (Letter(i, j, a), Letter(j, i, b))]
         m = st_eval(Word(ctx, letters))
-        dd = alg.add(alg.add(u, fam.project(delta_full, j, j)), alg.sub(alg.one, _sum_idem(fam, [i, j])))
+        dd = alg.add(alg.add(u, _cut(fam, delta_full, j, j)), alg.sub(alg.one, _sum_idem(fam, [i, j])))
         if alg.mul(m, dd) != g:
             violations.append(alg.element_to_json(g))
     if word_samples and rng is not None:
@@ -349,9 +358,9 @@ def presentation_relation_check(fam, i, rng=None, samples=None, word_samples=0):
     }
 
 
-def _first_payload(alg, fam, letters, i, j):
+def _first_payload(letters, zero):
     if not letters:
-        return alg.zero
+        return zero
     if len(letters) != 1:
         raise SforgeError("two-block step emitted more than one letter per slot")
     return letters[0].a
@@ -361,5 +370,5 @@ def _is_diagonal(fam, m):
     alg = fam.algebra
     acc = alg.zero
     for t in fam.labels():
-        acc = alg.add(acc, fam.project(m, t, t))
+        acc = alg.add(acc, _cut(fam, m, t, t))
     return acc == m

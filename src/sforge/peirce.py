@@ -4,8 +4,14 @@ A family over a matrix algebra M(m, A) is given by a partition of the m
 diagonal positions into n nonempty blocks; e_i is the diagonal 0/1 matrix of
 the i-th block.  Matrix-unit families are the all-singleton partition.
 
+An element of a Peirce component R_ij = e_i R e_j is stored as its block
+values: the tuple of its entries at cells(i, j), the |block i| x |block j|
+positions of the component, row by row.  project() reads those values off
+an n x n matrix, to_matrix() puts them back, and block_mul() multiplies
+two components without forming either matrix.
+
 Each ordered pair (i, j) carries Morita witnesses: pairs (x_p, y_p) with
-x_p in R_ij = e_i R e_j, y_p in R_ji and sum_p x_p y_p = e_i.  They certify
+x_p in R_ij, y_p in R_ji and sum_p x_p y_p = e_i.  They certify
 e_i in R e_j R and drive the decomposition of any c in R_ik as
 c = sum_p x_p (y_p c).
 """
@@ -13,6 +19,7 @@ c = sum_p x_p (y_p c).
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .rings import MatrixAlgebra, SforgeError
 from .roots import Root, RootSystemA
@@ -90,29 +97,72 @@ class IdempotentFamily:
         return self.blocks[labels - 1]
 
     def project(self, a, i, j):
-        """The Peirce component e_i a e_j, extracted positionally.
+        """The block values of e_i a e_j, read positionally off the matrix a.
 
         i and j may be tuples of labels, as in cells().
         """
-        cells = self.cells(i, j)
-        return self._from_cells(cells, [a[r][c] for r, c in cells])
+        return tuple([a[r][c] for r, c in self.cells(i, j)])
+
+    def to_matrix(self, a, i, j):
+        """The n x n matrix of the block values a of R_ij, zero off its cells."""
+        out = [list(row) for row in self.algebra.zero]
+        for (r, c), v in zip(self.cells(i, j), a):
+            out[r][c] = v
+        return tuple(map(tuple, out))
 
     def contains(self, a, i, j):
-        """Is a in R_ij, that is, zero off the cells of (i, j)?"""
+        """Is the n x n matrix a in R_ij, that is, zero off the cells of (i, j)?"""
         zero = self.algebra.base.zero
         nonzero = sum(x != zero for row in a for x in row)
         return nonzero == sum(a[r][c] != zero for r, c in self.cells(i, j))
 
+    def is_zero(self, a):
+        """Are the block values a all zero?"""
+        return a.count(self.algebra.base.zero) == len(a)
+
+    def block_mul(self, a, i, j, b, k):
+        """The block values of ab in R_ik, for a in R_ij and b in R_jk.
+
+        A product of the |i| x |j| and |j| x |k| blocks: O(|i| |j| |k|)
+        ring operations, not the O(n^3) of a matrix product.  Labels may be
+        tuples, as in cells().
+        """
+        mid = len(self._positions(j))
+        cols = len(self._positions(k))
+        # row r of a and column c of b, both read off the row-major values
+        pairs = [
+            (a[r:r + mid], b[c::cols]) for r in range(0, len(a), mid) for c in range(cols)
+        ]
+        m = self.algebra._mod
+        if m is not None:
+            return tuple([sum(map(operator.mul, row, col)) % m for row, col in pairs])
+        base = self.algebra.base
+        zero = base.zero
+        out = []
+        for row, col in pairs:
+            acc = zero
+            for x, y in zip(row, col):
+                if x != zero and y != zero:
+                    acc = base.add(acc, base.mul(x, y))
+            out.append(acc)
+        return tuple(out)
+
     def witnesses(self, i, j):
-        """Morita witness pairs for (i, j): sum_p x_p y_p == e_i."""
+        """Morita witness pairs for (i, j), as block values of R_ij and R_ji:
+        x_p = E_{r, c0} and y_p = E_{c0, r} for r in block i and c0 the
+        first position of block j, so sum_p x_p y_p == e_i."""
         if i == j:
             raise IndexClash("witnesses need two distinct block labels")
         got = self._witnesses.get((i, j))
         if got is None:
-            alg = self.algebra
+            base = self.algebra.base
             c0 = self.blocks[j - 1][0]
+
+            def unit(cells, cell):
+                return tuple(base.one if rc == cell else base.zero for rc in cells)
+
             got = tuple(
-                (alg.unit_matrix(r, c0), alg.unit_matrix(c0, r))
+                (unit(self.cells(i, j), (r, c0)), unit(self.cells(j, i), (c0, r)))
                 for r in self.blocks[i - 1]
             )
             self._witnesses[(i, j)] = got
@@ -124,25 +174,17 @@ class IdempotentFamily:
         )
 
     def component_elements(self, i, j):
-        """All elements of R_ij, enumerated positionally."""
-        cells = self.cells(i, j)
+        """All elements of R_ij, as block values."""
         pool = list(self.algebra.base.elements())
-        for fill in itertools.product(pool, repeat=len(cells)):
-            yield self._from_cells(cells, fill)
+        return itertools.product(pool, repeat=len(self.cells(i, j)))
 
     def sample_component(self, i, j, rng):
+        """A uniform element of R_ij, as block values: one draw per cell."""
         pool = list(self.algebra.base.elements())
-        cells = self.cells(i, j)
-        return self._from_cells(cells, [rng.choice(pool) for _ in cells])
-
-    def _from_cells(self, cells, fill):
-        out = [list(row) for row in self.algebra.zero]
-        for (r, c), v in zip(cells, fill):
-            out[r][c] = v
-        return tuple(map(tuple, out))
+        return tuple([rng.choice(pool) for _ in self.cells(i, j)])
 
     def corner_is_unit(self, u, i):
-        """Is u in R_ii invertible in the corner ring e_i R e_i?
+        """Are the block values u of R_ii invertible in the corner ring e_i R e_i?
 
         i may be a tuple of labels, as in cells().
         """
@@ -150,23 +192,19 @@ class IdempotentFamily:
         return alg.is_unit(block)
 
     def corner_inv(self, u, i):
-        """Inverse of u inside the corner e_i R e_i; raises NotInvertible.
-
-        Only the block of u on the positions of i is inverted, and the
-        result is put back on cells(i, i).  i may be a tuple of labels.
-        """
+        """The block values of the inverse of u inside the corner e_i R e_i;
+        raises NotInvertible.  i may be a tuple of labels."""
         alg, block = self._corner(u, i)
-        v = alg.inv(block)
-        return self._from_cells(self.cells(i, i), [x for row in v for x in row])
+        return tuple([x for row in alg.inv(block) for x in row])
 
     def _corner(self, u, i):
-        """(M(k, base) for the k positions of i, the k x k block of u on them)."""
-        pos = self._positions(i)
-        k = len(pos)
+        """(M(k, base) for the k positions of i, the k x k matrix of the
+        block values u of R_ii)."""
+        k = len(self._positions(i))
         alg = self._corner_algebras.get(k)
         if alg is None:
             alg = self._corner_algebras[k] = MatrixAlgebra(self.algebra.base, k)
-        return alg, tuple(tuple(u[r][c] for c in pos) for r in pos)
+        return alg, tuple(tuple(u[r * k:(r + 1) * k]) for r in range(k))
 
     def merge(self, p, q):
         """Merge blocks p and q; the merged class is placed last.
@@ -197,7 +235,12 @@ class IdempotentFamily:
 
 
 class Refinement:
-    """Bookkeeping for one merge step between a fine and a coarse family."""
+    """Bookkeeping for one merge step between a fine and a coarse family.
+
+    Both families share the algebra, so a fine component R_ij sits inside
+    the coarse component of its classes; restrict() and extend() move block
+    values between the two.
+    """
 
     def __init__(self, fine, coarse, fine_pair, label_map):
         self.fine = fine
@@ -209,6 +252,28 @@ class Refinement:
             self.fine_of.setdefault(c, []).append(f)
         for c in self.fine_of:
             self.fine_of[c].sort()
+        self._where = {}
+
+    def _index(self, i, j):
+        """Where each fine cell of (i, j) sits among the coarse cells."""
+        got = self._where.get((i, j))
+        if got is None:
+            coarse = self.coarse.cells(self.label_map[i], self.label_map[j])
+            at = {cell: t for t, cell in enumerate(coarse)}
+            got = self._where[(i, j)] = tuple(at[cell] for cell in self.fine.cells(i, j))
+        return got
+
+    def restrict(self, a, i, j):
+        """The fine block values e_i a e_j of coarse block values a."""
+        return tuple([a[t] for t in self._index(i, j)])
+
+    def extend(self, a, i, j):
+        """The coarse block values of fine block values a of R_ij."""
+        I, J = self.label_map[i], self.label_map[j]
+        out = [self.fine.algebra.base.zero] * len(self.coarse.cells(I, J))
+        for t, v in zip(self._index(i, j), a):
+            out[t] = v
+        return tuple(out)
 
 
 def family_from_json(algebra, obj):
@@ -222,18 +287,18 @@ def family_from_json(algebra, obj):
 def morita_decompose(fam, c, i, j, k):
     """Write c in R_ik as sum_p a_p b_p with a_p in R_ij, b_p in R_jk.
 
-    Uses the stored witnesses for (i, j): a_p = x_p, b_p = y_p c.
-    Zero factors are dropped; c = 0 gives the empty list.
+    Uses the stored witnesses for (i, j): a_p = x_p, b_p = y_p c.  All
+    elements are block values.  Zero factors are dropped; c = 0 gives the
+    empty list.
     """
     if j in (i, k):
         raise IndexClash("auxiliary index must differ from both endpoints")
-    alg = fam.algebra
-    if not fam.contains(c, i, k):
+    if len(c) != len(fam.cells(i, k)):
         raise BadFamily("element does not lie in the requested Peirce component")
     out = []
     for x, y in fam.witnesses(i, j):
-        b = alg.mul(y, c)
-        if b != alg.zero:
+        b = fam.block_mul(y, j, i, c, k)
+        if not fam.is_zero(b):
             out.append((x, b))
     return out
 
@@ -269,9 +334,9 @@ def check_idempotent_family(fam):
                 continue
             acc = alg.zero
             for x, y in fam.witnesses(i, j):
-                if fam.project(x, i, j) != x or fam.project(y, j, i) != y:
+                if (len(x), len(y)) != (len(fam.cells(i, j)), len(fam.cells(j, i))):
                     bad.append(("witness-membership", (i, j)))
-                acc = alg.add(acc, alg.mul(x, y))
+                acc = alg.add(acc, alg.mul(fam.to_matrix(x, i, j), fam.to_matrix(y, j, i)))
             if acc != fam.idempotent(i):
                 bad.append(("witness-sum", (i, j)))
     return FamilyVerdict(not bad, bad)
@@ -298,7 +363,8 @@ class FactorResult:
 def factor_through_product(fam, i, j, k, g, add, zero, rng=None, samples=None):
     """Factor a biadditive map g on R_ij x R_jk through multiplication.
 
-    g maps pairs into an abelian group given by (add, zero).  Checks, on an
+    g takes and the induced map f returns n x n matrices of R, and g maps
+    pairs into an abelian group given by (add, zero).  Checks, on an
     exhaustive grid (or `samples` random triples when given), that values of
     g commute, that g is biadditive, and that g(a r, b) == g(a, r b) for r in
     R_jj.  When all hold, returns the induced map f(c) = sum_p g(x_p, y_p c)
@@ -308,10 +374,16 @@ def factor_through_product(fam, i, j, k, g, add, zero, rng=None, samples=None):
         raise IndexClash("factor_through_product needs three distinct labels")
     alg = fam.algebra
 
+    def elements(p, q):
+        return [fam.to_matrix(a, p, q) for a in fam.component_elements(p, q)]
+
+    def sample(p, q):
+        return fam.to_matrix(fam.sample_component(p, q, rng), p, q)
+
     if samples is None:
-        lefts = list(fam.component_elements(i, j))
-        rights = list(fam.component_elements(j, k))
-        mids = list(fam.component_elements(j, j))
+        lefts = elements(i, j)
+        rights = elements(j, k)
+        mids = elements(j, j)
         grid = [
             (a, a2, b, b2, r)
             for a in lefts
@@ -322,13 +394,7 @@ def factor_through_product(fam, i, j, k, g, add, zero, rng=None, samples=None):
         ]
     else:
         grid = [
-            (
-                fam.sample_component(i, j, rng),
-                fam.sample_component(i, j, rng),
-                fam.sample_component(j, k, rng),
-                fam.sample_component(j, k, rng),
-                fam.sample_component(j, j, rng),
-            )
+            (sample(i, j), sample(i, j), sample(j, k), sample(j, k), sample(j, j))
             for _ in range(samples)
         ]
 
@@ -344,7 +410,7 @@ def factor_through_product(fam, i, j, k, g, add, zero, rng=None, samples=None):
         if g(alg.mul(a, r), b) != g(a, alg.mul(r, b)):
             return FactorResult(False, ("middle-associativity", (a, r, b)), None, checked)
 
-    pairs = fam.witnesses(i, j)
+    pairs = [(fam.to_matrix(x, i, j), fam.to_matrix(y, j, i)) for x, y in fam.witnesses(i, j)]
 
     def induced(c):
         acc = zero

@@ -13,7 +13,9 @@ difference no power of s annihilates.
 
 Actors over the localized ring (payloads given as numerator/denominator
 pairs) act on words letter by letter; st is equivariant for the action
-after embedding both sides into GL over the localized scalar ring.
+after embedding both sides into GL over the localized scalar ring.  An
+actor keeps its numerator as an n x n matrix, for the GL side, and its
+block values, which multiply the block values of the letters it acts on.
 """
 
 from __future__ import annotations
@@ -124,6 +126,12 @@ class HomotopeTower:
     def scalar_pow_mul(self, e, a):
         return self.algebra.scalar_mul(self.scale(e), a)
 
+    def scale_block(self, e, a):
+        """The block values s^e * a of block values a."""
+        s = self.scale(e)
+        mul = self.scalar.scalar_mul
+        return tuple([mul(s, x) for x in a])
+
     def context(self, k):
         if self.family is None:
             raise SforgeError("word contexts need an idempotent family")
@@ -160,9 +168,7 @@ class HomotopeTower:
         if target > k or target < 0:
             raise NoArrow("no structure map from level %r to %r" % (k, target))
         e = k - target
-        letters = tuple(
-            Letter(L.i, L.j, self.scalar_pow_mul(e, L.a)) for L in w.letters
-        )
+        letters = tuple(Letter(L.i, L.j, self.scale_block(e, L.a)) for L in w.letters)
         # Keep the word's own family: quotient words ride the same tower.
         ctx = Context(w.context.family, self.scale(target), target)
         return Word(ctx, letters)
@@ -279,9 +285,9 @@ def premorphism_equiv(tower, f, g, carrier, budget=None):
 class LocalizedTower:
     """The algebra over the localized scalar ring, with transfer maps.
 
-    psi applies the scalar localization entrywise; lift is a set-level
-    section.  gamma(k, q) = 1 + psi(s^k * q) embeds the level-k
-    quasi-invertible elements into the localized unit group.
+    psi applies the scalar localization entrywise; scalar_loc.lift is a
+    set-level section of it.  gamma(k, q) = 1 + psi(s^k * q) embeds the
+    level-k quasi-invertible elements into the localized unit group.
     """
 
     def __init__(self, tower):
@@ -308,12 +314,6 @@ class LocalizedTower:
             return tuple(tuple(p(x) for x in row) for row in a)
         return p(a)
 
-    def lift(self, a):
-        lf = self.scalar_loc.lift
-        if isinstance(self.algebra, MatrixAlgebra):
-            return tuple(tuple(lf(x) for x in row) for row in a)
-        return lf(a)
-
     def s_pow_inv(self, e):
         v = self.scalar_loc.ring.one
         for _ in range(e):
@@ -336,7 +336,11 @@ class LocalizedTower:
 
 
 class DiagActor:
-    """The diagonal generator with num/s^den in corner slot i."""
+    """The diagonal generator with num/s^den in corner slot i.
+
+    block and inv_block are the block values on R_ii of num and of the
+    lifted s^den * num^{-1}.
+    """
 
     def __init__(self, tower, i, num, den=0):
         fam = tower.family
@@ -345,15 +349,22 @@ class DiagActor:
         if not fam.contains(num, i, i):
             raise NonInvertibleComponent("numerator not in corner %d" % i)
         loc = tower.localized()
-        if not loc.family.corner_is_unit(loc.psi(num), i):
+        sl = loc.scalar_loc
+        block = fam.project(num, i, i)
+        block_loc = tuple(map(sl.psi, block))
+        if not loc.family.corner_is_unit(block_loc, i):
             raise NonInvertibleComponent("numerator not invertible after localization")
         self.tower = tower
         self.i = i
         self.num = num
         self.den = den
+        self.block = block
         # lift of s^den * num^{-1} from the localized corner
-        inv_loc = loc.family.corner_inv(loc.psi(num), i)
-        self._inv_num = loc.lift(loc.algebra.scalar_mul(loc.scalar_loc.psi(tower.scale(den)), inv_loc))
+        sd = sl.psi(tower.scale(den))
+        self.inv_block = tuple(
+            sl.lift(sl.ring.scalar_mul(sd, x)) for x in loc.family.corner_inv(block_loc, i)
+        )
+        self._inv_num = fam.to_matrix(self.inv_block, i, i)
 
     def inverse(self):
         """d_i of the lifted localized inverse, at denominator zero."""
@@ -364,7 +375,8 @@ class DiagActor:
 
 
 class RootActor:
-    """The root generator x_ij(num/s^den) over the localized ring."""
+    """The root generator x_ij(num/s^den) over the localized ring; block
+    is the block values of num on R_ij."""
 
     def __init__(self, tower, i, j, num, den=0):
         fam = tower.family
@@ -380,6 +392,7 @@ class RootActor:
         self.j = j
         self.num = num
         self.den = den
+        self.block = fam.project(num, i, j)
 
     def inverse(self):
         return RootActor(self.tower, self.i, self.j, self.tower.algebra.neg(self.num), self.den)
@@ -395,24 +408,25 @@ def _opposite_root_letters(tower, actor, a, out):
     E + v of the merged diagonal with (E + v)^{-1} = E - v; expand a into
     commutators through the smallest outside block, act on the merged
     letters, and split back.  Emitted letters already carry the uniform
-    level shift d.
+    level shift d.  a and the emitted payloads are block values.
     """
-    alg = tower.algebra
     fam = tower.family
-    i, j, num, d = actor.i, actor.j, actor.num, actor.den
+    neg = fam.algebra.base.neg
+    i, j, v, d = actor.i, actor.j, actor.block, actor.den
     aux = min(t for t in fam.labels() if t not in (i, j))
-    sd = tower.scale(d)
     for xp, yp in morita_decompose(fam, a, j, aux, i):
-        top = [(i, aux, alg.mul(num, xp)), (j, aux, alg.scalar_mul(sd, xp))]
-        bot = [(aux, i, alg.scalar_mul(sd, yp)), (aux, j, alg.neg(alg.mul(yp, num)))]
+        top = [(i, aux, fam.block_mul(v, i, j, xp, aux)), (j, aux, tower.scale_block(d, xp))]
+        bot = [
+            (aux, i, tower.scale_block(d, yp)),
+            (aux, j, tuple(map(neg, fam.block_mul(yp, aux, i, v, j)))),
+        ]
         top.sort()
         bot.sort()
-        for r, c, v in top + bot:
-            if v != alg.zero:
-                out.append(Letter(r, c, v))
-        for r, c, v in top + bot:
-            if v != alg.zero:
-                out.append(Letter(r, c, alg.neg(v)))
+        emitted = [(r, c, x) for r, c, x in top + bot if not fam.is_zero(x)]
+        for r, c, x in emitted:
+            out.append(Letter(r, c, x))
+        for r, c, x in emitted:
+            out.append(Letter(r, c, tuple(map(neg, x))))
 
 
 def tower_ad(tower, actor, w):
@@ -428,35 +442,37 @@ def tower_ad(tower, actor, w):
     k = k_src - actor.den
     if k < 0:
         raise LevelBudgetExceeded("word at level %d cannot absorb denominator %d" % (k_src, actor.den))
-    alg = tower.algebra
+    fam = tower.family
+    mul = fam.block_mul
     d = actor.den
     out = []
     if isinstance(actor, DiagActor):
-        i, num, binv = actor.i, actor.num, actor._inv_num
+        i, u, uinv = actor.i, actor.block, actor.inv_block
         for L in w.letters:
             if L.i == i:
-                out.append(Letter(L.i, L.j, alg.mul(num, L.a)))
+                out.append(Letter(L.i, L.j, mul(u, i, i, L.a, L.j)))
             elif L.j == i:
-                out.append(Letter(L.i, L.j, tower.scalar_pow_mul(d, alg.mul(L.a, binv))))
+                out.append(Letter(L.i, L.j, tower.scale_block(d, mul(L.a, L.i, i, uinv, i))))
             else:
-                out.append(Letter(L.i, L.j, tower.scalar_pow_mul(d, L.a)))
+                out.append(Letter(L.i, L.j, tower.scale_block(d, L.a)))
         return Word(tower.context(k), tuple(out))
-    i, j, num = actor.i, actor.j, actor.num
+    i, j, v = actor.i, actor.j, actor.block
+    neg = fam.algebra.base.neg
     for L in w.letters:
         if (L.i, L.j) == (j, i):
             _opposite_root_letters(tower, actor, L.a, out)
         elif L.i == j:
-            va = alg.mul(num, L.a)
-            if va != alg.zero:
+            va = mul(v, i, j, L.a, L.j)
+            if not fam.is_zero(va):
                 out.append(Letter(i, L.j, va))
-            out.append(Letter(j, L.j, tower.scalar_pow_mul(d, L.a)))
+            out.append(Letter(j, L.j, tower.scale_block(d, L.a)))
         elif L.j == i:
-            av = alg.mul(L.a, num)
-            if av != alg.zero:
-                out.append(Letter(L.i, j, alg.neg(av)))
-            out.append(Letter(L.i, i, tower.scalar_pow_mul(d, L.a)))
+            av = mul(L.a, L.i, i, v, j)
+            if not fam.is_zero(av):
+                out.append(Letter(L.i, j, tuple(map(neg, av))))
+            out.append(Letter(L.i, i, tower.scale_block(d, L.a)))
         else:
-            out.append(Letter(L.i, L.j, tower.scalar_pow_mul(d, L.a)))
+            out.append(Letter(L.i, L.j, tower.scale_block(d, L.a)))
     return Word(tower.context(k), tuple(out))
 
 
@@ -474,7 +490,7 @@ def presented_source(tower, actor, w):
     fam = tower.family
     i, j = actor.i, actor.j
     aux = min(t for t in fam.labels() if t not in (i, j))
-    alg = tower.algebra
+    neg = fam.algebra.base.neg
     out = []
     for L in w.letters:
         if (L.i, L.j) != (j, i):
@@ -483,8 +499,8 @@ def presented_source(tower, actor, w):
         for xp, yp in morita_decompose(fam, L.a, j, aux, i):
             out.append(Letter(j, aux, xp))
             out.append(Letter(aux, i, yp))
-            out.append(Letter(j, aux, alg.neg(xp)))
-            out.append(Letter(aux, i, alg.neg(yp)))
+            out.append(Letter(j, aux, tuple(map(neg, xp))))
+            out.append(Letter(aux, i, tuple(map(neg, yp))))
     return Word(w.context, tuple(out))
 
 
@@ -513,10 +529,16 @@ def equal_after_localization(tower, w1, w2):
     return _gamma_of_word(tower, w1) == _gamma_of_word(tower, w2)
 
 
+def _sample_matrix(fam, i, j, rng):
+    """A random element of R_ij, as an n x n matrix: actor numerators and
+    operator carriers live in R, not in a letter."""
+    return fam.to_matrix(fam.sample_component(i, j, rng), i, j)
+
+
 def _sample_diag_actor(tower, rng, i, den, tries=64):
     fam = tower.family
     for _ in range(tries):
-        num = fam.sample_component(i, i, rng)
+        num = _sample_matrix(fam, i, i, rng)
         try:
             return DiagActor(tower, i, num, den)
         except NonInvertibleComponent:
@@ -528,7 +550,7 @@ def _random_actor(tower, rng, den):
     labels = list(tower.family.labels())
     i, j = rng.sample(labels, 2)
     if len(labels) >= 4 and rng.random() < 0.5:
-        return RootActor(tower, i, j, tower.family.sample_component(i, j, rng), den)
+        return RootActor(tower, i, j, _sample_matrix(tower.family, i, j, rng), den)
     return _sample_diag_actor(tower, rng, i, den)
 
 
@@ -546,7 +568,6 @@ def tower_relation_suite(tower, rng, samples_per_level=50, mutate=None):
     require_blocks(fam, 2, "the tower relation suite")
     # below 3 blocks only (St1) is sampled; St2 and St3 are reported empty
     kinds = ("St1", "St2", "St3") if fam.n >= 3 else ("St1",)
-    st3_want = tower.algebra.mul if mutate == "drop-scale" else None
     report = {
         "k_max": tower.k_max,
         "status": "checked",
@@ -565,7 +586,7 @@ def tower_relation_suite(tower, rng, samples_per_level=50, mutate=None):
     for k in range(tower.k_max + 1):
         ctx = tower.context(k)
         per_level = {kind: {"checked": 0, "violations": 0} for kind in ("St2", "St3")}
-        per_level.update(sample_relations(ctx, rng, kinds, samples_per_level, st3_want))
+        per_level.update(sample_relations(ctx, rng, kinds, samples_per_level, mutate))
         total += sum(v["violations"] for v in per_level.values())
         eq_checked = eq_bad = 0
         for _ in range(samples_per_level):
@@ -657,7 +678,7 @@ def actor_relation_suite(tower, rng, samples=25):
 
         if n < 4:
             continue
-        v = fam.sample_component(i, j, rng)
+        v = _sample_matrix(fam, i, j, rng)
         x = RootActor(tower, i, j, v, du)
         conj = act([u1, x, u1.inverse()], w)
         direct = tower_ad(
@@ -673,7 +694,7 @@ def actor_relation_suite(tower, rng, samples=25):
         tally("diag_root_right", equal_after_localization(tower, conj, direct))
 
         a = fam.sample_component(i, j, rng)
-        if a != fam.algebra.zero:
+        if not fam.is_zero(a):
             src = gen(tower.context(k_src), i, j, a)
             out = tower_ad(tower, x, src)
             tally(
@@ -685,8 +706,8 @@ def actor_relation_suite(tower, rng, samples=25):
         for _ in range(samples):
             i, j, k2, l = random_relation_indices(fam, rng, "St2")
             dv = rng.randrange(2) if tower.k_max >= 4 else 0
-            x = RootActor(tower, i, j, fam.sample_component(i, j, rng), dv)
-            y = RootActor(tower, k2, l, fam.sample_component(k2, l, rng), dv)
+            x = RootActor(tower, i, j, _sample_matrix(fam, i, j, rng), dv)
+            y = RootActor(tower, k2, l, _sample_matrix(fam, k2, l, rng), dv)
             w = random_word(
                 tower.context(tower.k_max), rng, 2, avoid={(j, i), (l, k2)}
             )
@@ -695,8 +716,8 @@ def actor_relation_suite(tower, rng, samples=25):
                 equal_after_localization(tower, act([x, y], w), act([y, x], w)),
             )
             i, j, k2, _ = random_relation_indices(fam, rng, "St3")
-            x = RootActor(tower, i, j, fam.sample_component(i, j, rng), dv)
-            y = RootActor(tower, j, k2, fam.sample_component(j, k2, rng), dv)
+            x = RootActor(tower, i, j, _sample_matrix(fam, i, j, rng), dv)
+            y = RootActor(tower, j, k2, _sample_matrix(fam, j, k2, rng), dv)
             if tower.k_max < 4 * dv:
                 continue
             w = random_word(
@@ -728,14 +749,15 @@ def scaled_operator_suite(tower, rng, max_extra=2, exponents=(0, 1, 2), cap=256)
     alg = tower.algebra
     labels = list(fam.labels())
     i, j = labels[0], labels[1]
+    # the operators act on R, so carrier and corner are n x n matrices
     if fam.component_size(i, j) <= cap:
-        carrier = list(fam.component_elements(i, j))
+        carrier = [fam.to_matrix(a, i, j) for a in fam.component_elements(i, j)]
     else:
-        carrier = [fam.sample_component(i, j, rng) for _ in range(64)]
+        carrier = [_sample_matrix(fam, i, j, rng) for _ in range(64)]
     if fam.component_size(i, i) <= cap:
-        corner = list(fam.component_elements(i, i))
+        corner = [fam.to_matrix(a, i, i) for a in fam.component_elements(i, i)]
     else:
-        corner = [fam.sample_component(i, i, rng) for _ in range(32)]
+        corner = [_sample_matrix(fam, i, i, rng) for _ in range(32)]
 
     report = {
         "pairs_checked": 0,

@@ -1,7 +1,13 @@
 """Steinberg words over an idempotent family, with exact evaluation.
 
 A word is a finite sequence of letters x_ij(a) with a in the Peirce
-component R_ij of the family.  Formal inverses are normalized away on
+component R_ij of the family.  A letter's payload a is its block values:
+the tuple of its |block i| * |block j| entries at fam.cells(i, j), row by
+row, never an n x n matrix.  Letters are evaluated, inverted, conjugated
+and multiplied on those values; matrices appear only as st images, as
+diagonal elements, and on the wire.  The JSON wire format is unchanged:
+a letter's "a" is still its n x n matrix, and word_from_json refuses one
+with a nonzero entry off R_ij.  Formal inverses are normalized away on
 input: x_ij(a)^{-1} = x_ij(-a) holds in every context, so letters carry
 no exponent internally (the wire format still accepts "e": +-1).
 
@@ -62,6 +68,8 @@ def require_blocks(fam, need, what):
 
 
 class Letter(NamedTuple):
+    """x_ij(a), with a the tuple of block values of R_ij at fam.cells(i, j)."""
+
     i: int
     j: int
     a: object
@@ -95,21 +103,18 @@ class Word:
         self.letters = tuple(letters)
 
     def __mul__(self, other):
-        if self.context != other.context:
+        if other.context is not self.context and other.context != self.context:
             raise SforgeError("cannot concatenate words from different contexts")
         return Word(self.context, self.letters + other.letters)
 
     def inverse(self):
-        """x_ij(a)^-1 = x_ij(-a), letters reversed; only the cells of R_ij
-        are negated, since a payload is zero off them."""
-        fam = self.context.family
-        neg = fam.algebra.base.neg
-        out = []
-        for L in reversed(self.letters):
-            cells = fam.cells(L.i, L.j)
-            a = fam._from_cells(cells, [neg(L.a[r][c]) for r, c in cells])
-            out.append(Letter(L.i, L.j, a))
-        return Word(self.context, tuple(out))
+        """x_ij(a)^-1 = x_ij(-a), letters reversed: each letter's block
+        values are negated."""
+        neg = self.context.family.algebra.base.neg
+        return Word(
+            self.context,
+            [Letter(L.i, L.j, tuple(map(neg, L.a))) for L in reversed(self.letters)],
+        )
 
     def __len__(self):
         return len(self.letters)
@@ -129,17 +134,28 @@ class Word:
         return "Word(%s)" % (body or "1")
 
 
-def gen(ctx, i, j, a, e=1):
-    """The one-letter word x_ij(a)^e, validated against the family."""
-    fam = ctx.family
+def _check_indices(fam, i, j):
     if i == j:
         raise IndexClash("generator indices must differ")
     if not (1 <= i <= fam.n and 1 <= j <= fam.n):
         raise IndexClash("generator indices out of range")
-    if not fam.contains(a, i, j):
-        raise SideConditionViolated("payload not in the declared Peirce component")
+
+
+def gen(ctx, i, j, a, e=1):
+    """The one-letter word x_ij(a)^e for the block values a of R_ij.
+
+    a must hold one value per cell of (i, j); any other count raises
+    SideConditionViolated.
+    """
+    fam = ctx.family
+    _check_indices(fam, i, j)
+    a = tuple(a)
+    if len(a) != len(fam.cells(i, j)):
+        raise SideConditionViolated(
+            "payload has %d values; R_%d%d has %d cells" % (len(a), i, j, len(fam.cells(i, j)))
+        )
     if e == -1:
-        a = ctx.algebra.neg(a)
+        a = tuple(map(ctx.algebra.base.neg, a))
     elif e != 1:
         raise ValueError("letter exponent must be +1 or -1")
     return Word(ctx, (Letter(i, j, a),))
@@ -154,14 +170,9 @@ def word(ctx, items):
 
 
 def commutator(w1, w2):
-    return w1 * w2 * w1.inverse() * w2.inverse()
-
-
-def _entries(fam, L):
-    """The nonzero entries (r, c, a[r][c]) of a letter's payload a."""
-    a = L.a
-    zero = fam.algebra.base.zero
-    return [(r, c, a[r][c]) for r, c in fam.cells(L.i, L.j) if a[r][c] != zero]
+    """The word w1 w2 w1^-1 w2^-1."""
+    w = w1 * w2
+    return Word(w.context, w.letters + w1.inverse().letters + w2.inverse().letters)
 
 
 def st_eval(w):
@@ -182,11 +193,13 @@ def st_eval(w):
     fam = w.context.family
     alg = fam.algebra
     base = alg.base
+    zero = base.zero
     s = w.context.scale
     # columns of the running value; one and zero are their own transposes
     cols = [list(col) for col in (alg.one if s is None else alg.zero)]
+    cells = fam.cells
     for L in w.letters:
-        ops = _entries(fam, L)
+        ops = [(r, c, v) for (r, c), v in zip(cells(L.i, L.j), L.a) if v != zero]
         if s is None:
             alg.add_column_multiples(cols, ops)
         else:
@@ -199,10 +212,10 @@ def st_eval(w):
 
 def support_sign(w):
     """+1 for upper support, -1 for lower, 0 for empty, None for mixed."""
-    alg = w.context.algebra
+    is_zero = w.context.family.is_zero
     sign = 0
     for L in w.letters:
-        if L.a == alg.zero:
+        if is_zero(L.a):
             continue
         here = 1 if L.i < L.j else -1
         if sign == 0:
@@ -219,15 +232,16 @@ def _commute_st2(L1, L2):
 def reduce_word(w):
     """Sound, incomplete canonicalization: zero drops, same-slot merges,
     and order-normalizing swaps of provably commuting adjacent letters."""
-    alg = w.context.algebra
-    letters = [L for L in w.letters if L.a != alg.zero]
+    fam = w.context.family
+    add = fam.algebra.base.add
+    letters = [L for L in w.letters if not fam.is_zero(L.a)]
     t = 0
     while t + 1 < len(letters):
         L1, L2 = letters[t], letters[t + 1]
         if (L1.i, L1.j) == (L2.i, L2.j):
-            s = alg.add(L1.a, L2.a)
+            s = tuple(map(add, L1.a, L2.a))
             del letters[t:t + 2]
-            if s != alg.zero:
+            if not fam.is_zero(s):
                 letters.insert(t, Letter(L1.i, L1.j, s))
             t = max(t - 1, 0)
         elif _commute_st2(L1, L2) and (L2.i, L2.j) < (L1.i, L1.j):
@@ -269,15 +283,15 @@ def u_normal_form(w):
     if sign == 0:
         return Word(w.context)
     neg = alg.base.neg
+    zero = alg.base.zero
     rows = [list(row) for row in st_eval(w)]
     out = []
     for (i, j) in _position_order(fam, sign):
         a = fam.project(rows, i, j)
-        if a != alg.zero:
-            L = Letter(i, j, a)
-            out.append(L)
+        if not fam.is_zero(a):
+            out.append(Letter(i, j, a))
             # (1 - a) * residual: a row update on the block-i rows
-            ops = [(r, c, neg(v)) for r, c, v in _entries(fam, L)]
+            ops = [(r, c, neg(v)) for (r, c), v in zip(fam.cells(i, j), a) if v != zero]
             alg.add_row_multiples(rows, ops)
     if tuple(map(tuple, rows)) != alg.one:
         raise SforgeError("unipotent extraction failed; support was not unipotent")
@@ -318,19 +332,21 @@ class RelationCheck(NamedTuple):
 def check_relation_instance(ctx, kind, i, j, k=None, l=None, a=None, b=None):
     """Check one instance of (St1), (St2) or (St3) under st.
 
-    In a homotope context the (St3) right side is scaled by the context
-    scale.  A holding plain instance whose two sides share a unipotent
+    a and b are block values.  The (St3) right side x_ik(ab) takes the
+    block product of a and b, scaled by the context scale in a homotope
+    context.  A holding plain instance whose two sides share a unipotent
     support is graded "st+normal-form": st is injective on U+ and on U-,
     so there the st comparison is exact, and it agrees with comparing the
     two normal forms, which are functions of the st images.  Otherwise
     the grade is "st".
     """
-    alg = ctx.algebra
+    fam = ctx.family
+    base = fam.algebra.base
     if kind == "St1":
         if a is None or b is None:
             raise SideConditionViolated("St1 needs two payloads")
         lhs = gen(ctx, i, j, a) * gen(ctx, i, j, b)
-        rhs = gen(ctx, i, j, alg.add(a, b))
+        rhs = gen(ctx, i, j, tuple(map(base.add, a, b)))
     elif kind == "St2":
         if j == k or i == l:
             raise SideConditionViolated("St2 requires j != k and i != l")
@@ -340,9 +356,9 @@ def check_relation_instance(ctx, kind, i, j, k=None, l=None, a=None, b=None):
         if i == k:
             raise SideConditionViolated("St3 requires distinct outer indices")
         lhs = commutator(gen(ctx, i, j, a), gen(ctx, j, k, b))
-        c = alg.mul(a, b)
+        c = fam.block_mul(a, i, j, b, k)
         if ctx.scale is not None:
-            c = alg.scalar_mul(ctx.scale, c)
+            c = tuple([base.scalar_mul(ctx.scale, v) for v in c])
         rhs = gen(ctx, i, k, c)
     else:
         raise ValueError("unknown relation %r" % (kind,))
@@ -352,23 +368,28 @@ def check_relation_instance(ctx, kind, i, j, k=None, l=None, a=None, b=None):
 
 
 class DiagonalElement:
-    """An invertible diagonal element (u_1, ..., u_n), u_i a unit of e_i R e_i."""
+    """An invertible diagonal element (u_1, ..., u_n), u_i a unit of e_i R e_i.
 
-    __slots__ = ("family", "components", "_inv")
+    The components are n x n matrices, as GL-side values; blocks() and
+    inverse_blocks() give the block values of each u_t and u_t^-1 on R_tt,
+    which is what acting on letters needs.
+    """
+
+    __slots__ = ("family", "components", "_blocks", "_inv_blocks")
 
     def __init__(self, family, components, validate=True):
         components = tuple(components)
         if len(components) != family.n:
             raise NonInvertibleComponent("need one component per block")
-        if validate:
-            for t, u in enumerate(components, start=1):
-                if not family.contains(u, t, t):
-                    raise NonInvertibleComponent("component %d not in its corner" % t)
-                if not family.corner_is_unit(u, t):
-                    raise NonInvertibleComponent("component %d not a corner unit" % t)
         self.family = family
         self.components = components
-        self._inv = None
+        self._blocks = self._inv_blocks = None
+        if validate:
+            for t, (u, b) in enumerate(zip(components, self.blocks()), start=1):
+                if not family.contains(u, t, t):
+                    raise NonInvertibleComponent("component %d not in its corner" % t)
+                if not family.corner_is_unit(b, t):
+                    raise NonInvertibleComponent("component %d not a corner unit" % t)
 
     @classmethod
     def identity(cls, family):
@@ -388,13 +409,23 @@ class DiagonalElement:
             acc = alg.add(acc, u)
         return acc
 
-    def component_inverses(self):
-        if self._inv is None:
-            self._inv = tuple(
-                self.family.corner_inv(u, t)
-                for t, u in enumerate(self.components, start=1)
+    def blocks(self):
+        """The block values of each u_t on R_tt."""
+        if self._blocks is None:
+            fam = self.family
+            self._blocks = tuple(
+                fam.project(u, t, t) for t, u in enumerate(self.components, start=1)
             )
-        return self._inv
+        return self._blocks
+
+    def inverse_blocks(self):
+        """The block values of each corner inverse u_t^-1 on R_tt."""
+        if self._inv_blocks is None:
+            fam = self.family
+            self._inv_blocks = tuple(
+                fam.corner_inv(b, t) for t, b in enumerate(self.blocks(), start=1)
+            )
+        return self._inv_blocks
 
     def mul(self, other):
         alg = self.family.algebra
@@ -405,7 +436,9 @@ class DiagonalElement:
         )
 
     def inverse(self):
-        return DiagonalElement(self.family, self.component_inverses(), validate=False)
+        fam = self.family
+        comps = [fam.to_matrix(v, t, t) for t, v in enumerate(self.inverse_blocks(), start=1)]
+        return DiagonalElement(fam, comps, validate=False)
 
     def __eq__(self, other):
         return (
@@ -419,15 +452,24 @@ class DiagonalElement:
 
 
 def diag_act(d, w):
-    """Conjugation action of a diagonal element: x_ij(a) -> x_ij(u_i a u_j^{-1})."""
+    """Conjugation action of a diagonal element: x_ij(a) -> x_ij(u_i a u_j^{-1}).
+
+    u_i a u_j^{-1} is the product of the i-corner block of u_i, the
+    letter's block values and the j-corner block of u_j^{-1}:
+    O(|block i| |block j| (|block i| + |block j|)) ring operations.
+    """
     fam = w.context.family
     if d.family != fam:
         raise SforgeError("diagonal element belongs to a different family")
-    alg = w.context.algebra
-    us = d.components
-    vs = d.component_inverses()
+    us = d.blocks()
+    vs = d.inverse_blocks()
+    mul = fam.block_mul
     out = tuple(
-        Letter(L.i, L.j, alg.mul(us[L.i - 1], alg.mul(L.a, vs[L.j - 1])))
+        Letter(
+            L.i,
+            L.j,
+            mul(mul(us[L.i - 1], L.i, L.i, L.a, L.j), L.i, L.j, vs[L.j - 1], L.j),
+        )
         for L in w.letters
     )
     return Word(w.context, out)
@@ -438,10 +480,11 @@ def f_alpha(w, ref):
 
     Untouched letters keep their payload; a letter into (out of) the merged
     class splits into one letter per fine label, cutting the payload with
-    the fine idempotent on the appropriate side.  Zero cuts are dropped.
+    the fine idempotent on the appropriate side, which keeps the values on
+    that label's cells.  Zero cuts are dropped.
     """
-    alg = ref.fine.algebra
-    ctx_fine = Context(ref.fine, w.context.scale, w.context.level)
+    fine = ref.fine
+    ctx_fine = Context(fine, w.context.scale, w.context.level)
     if w.context.family != ref.coarse:
         raise SforgeError("word does not live over the coarse family")
     out = []
@@ -450,16 +493,13 @@ def f_alpha(w, ref):
         fj = ref.fine_of[L.j]
         if len(fi) == 1 and len(fj) == 1:
             out.append(Letter(fi[0], fj[0], L.a))
-        elif len(fj) > 1:
+            continue
+        # one side is the merged class, the other a single label
+        for p in fi:
             for q in fj:
-                aq = alg.mul(L.a, ref.fine.idempotent(q))
-                if aq != alg.zero:
-                    out.append(Letter(fi[0], q, aq))
-        else:
-            for p in fi:
-                ap = alg.mul(ref.fine.idempotent(p), L.a)
-                if ap != alg.zero:
-                    out.append(Letter(p, fj[0], ap))
+                cut = ref.restrict(L.a, p, q)
+                if not fine.is_zero(cut):
+                    out.append(Letter(p, q, cut))
     return Word(ctx_fine, tuple(out))
 
 
@@ -475,7 +515,7 @@ def g_alpha(w, ref, epi_only=False):
     require_blocks(ref.fine, 3 if epi_only else 4, "the merge map")
     if w.context.family != ref.fine:
         raise SforgeError("word does not live over the fine family")
-    alg = ref.fine.algebra
+    neg = ref.fine.algebra.base.neg
     ctx_coarse = Context(ref.coarse, w.context.scale, w.context.level)
     p, q = ref.fine_pair
     lm = ref.label_map
@@ -484,16 +524,18 @@ def g_alpha(w, ref, epi_only=False):
     for L in w.letters:
         I, J = lm[L.i], lm[L.j]
         if I != J:
-            out.append(Letter(I, J, L.a))
+            out.append(Letter(I, J, ref.extend(L.a, L.i, L.j)))
             continue
         AUX = lm[aux]
         for x, y in morita_decompose(ref.fine, L.a, L.i, aux, L.j):
+            x = ref.extend(x, L.i, aux)
+            y = ref.extend(y, aux, L.j)
             out.extend(
                 (
                     Letter(I, AUX, x),
                     Letter(AUX, J, y),
-                    Letter(I, AUX, alg.neg(x)),
-                    Letter(AUX, J, alg.neg(y)),
+                    Letter(I, AUX, tuple(map(neg, x))),
+                    Letter(AUX, J, tuple(map(neg, y))),
                 )
             )
     return Word(ctx_coarse, tuple(out))
@@ -502,8 +544,9 @@ def g_alpha(w, ref, epi_only=False):
 def express_as_commutators(ctx, i, k, c, j=None):
     """A word of commutators [x_ij(a_p), x_jk(b_p)] whose st image is 1 + c.
 
-    The pairs come from the Morita witnesses for (i, j).  c = 0 yields the
-    empty word; j defaults to the smallest label distinct from i and k.
+    c is the block values of R_ik.  The pairs come from the Morita
+    witnesses for (i, j).  c = 0 yields the empty word; j defaults to the
+    smallest label distinct from i and k.
     """
     fam = ctx.family
     require_blocks(fam, 3, "a commutator expression")
@@ -513,21 +556,23 @@ def express_as_commutators(ctx, i, k, c, j=None):
         j = min(t for t in fam.labels() if t not in (i, k))
     if j in (i, k):
         raise IndexClash("auxiliary index must differ from both endpoints")
-    alg = ctx.algebra
+    neg = fam.algebra.base.neg
     out = []
     for a, b in morita_decompose(fam, c, i, j, k):
         out.extend(
             (
                 Letter(i, j, a),
                 Letter(j, k, b),
-                Letter(i, j, alg.neg(a)),
-                Letter(j, k, alg.neg(b)),
+                Letter(i, j, tuple(map(neg, a))),
+                Letter(j, k, tuple(map(neg, b))),
             )
         )
     return Word(ctx, tuple(out))
 
 
 def word_to_json(w):
+    """The wire form of a word; each letter's "a" is its n x n matrix."""
+    fam = w.context.family
     alg = w.context.algebra
     head = {
         "family": w.context.family.to_json(),
@@ -541,7 +586,7 @@ def word_to_json(w):
     return {
         "context": head,
         "letters": [
-            {"a": alg.element_to_json(L.a), "e": 1, "i": L.i, "j": L.j}
+            {"a": alg.element_to_json(fam.to_matrix(L.a, L.i, L.j)), "e": 1, "i": L.i, "j": L.j}
             for L in w.letters
         ],
     }
@@ -602,15 +647,14 @@ def _second_component(kind, i, j, k, l):
     return j, k
 
 
-def sample_relations(ctx, rng, kinds, samples, st3_want=None):
+def sample_relations(ctx, rng, kinds, samples, fault=None):
     """Check `samples` random instances of each relation in kinds, in order.
 
     Each instance draws its index tuple, then a in R_ij, then b from the
-    component _second_component names.  With st3_want, an (St3) instance
-    compares the st image of the commutator with st3_want(a, b) instead of
-    checking the relation; the injected faults `st3-zero` and `drop-scale`
-    corrupt the identity this way.  Returns {kind: {"checked",
-    "violations"}}.
+    component _second_component names.  fault corrupts the (St3) right
+    side on purpose, and the commutator is compared with it under st:
+    "st3-zero" replaces x_ik(ab) by the empty word, "drop-scale" leaves
+    the homotope scale off ab.  Returns {kind: {"checked", "violations"}}.
     """
     fam = ctx.family
     out = {}
@@ -620,9 +664,13 @@ def sample_relations(ctx, rng, kinds, samples, st3_want=None):
             i, j, k, l = random_relation_indices(fam, rng, kind)
             a = fam.sample_component(i, j, rng)
             b = fam.sample_component(*_second_component(kind, i, j, k, l), rng)
-            if kind == "St3" and st3_want is not None:
+            if kind == "St3" and fault is not None:
                 lhs = commutator(gen(ctx, i, j, a), gen(ctx, j, k, b))
-                ok = st_eval(lhs) == st3_want(a, b)
+                if fault == "st3-zero":
+                    rhs = Word(ctx)
+                else:
+                    rhs = gen(ctx, i, k, fam.block_mul(a, i, j, b, k))
+                ok = st_eval(lhs) == st_eval(rhs)
             else:
                 ok = check_relation_instance(ctx, kind, i, j, k, l, a, b).ok
             bad += not ok
@@ -656,7 +704,6 @@ def random_word(ctx, rng, length, sign=None, avoid=()):
     the whole orbit and chained actions compare exactly.
     """
     fam = ctx.family
-    alg = ctx.algebra
     labels = list(fam.labels())
     letters = []
     while len(letters) < length:
@@ -666,15 +713,32 @@ def random_word(ctx, rng, length, sign=None, avoid=()):
         if (i, j) in avoid:
             continue
         a = fam.sample_component(i, j, rng)
-        if a != alg.zero:
+        if not fam.is_zero(a):
             letters.append(Letter(i, j, a))
     return Word(ctx, tuple(letters))
 
 
 def word_from_json(ctx, obj):
+    """A validated word from its wire form.  Each letter's "a" is an n x n
+    matrix, which must be zero off R_ij; its block values become the
+    payload.  Any other shape, or a nonzero entry off R_ij, raises
+    SideConditionViolated."""
+    fam = ctx.family
     alg = ctx.algebra
+    n = alg.n
     out = Word(ctx)
     for item in obj["letters"]:
-        a = alg.element_from_json(item["a"])
-        out = out * gen(ctx, item["i"], item["j"], a, item.get("e", 1))
+        i, j = item["i"], item["j"]
+        _check_indices(fam, i, j)
+        rows = item["a"]
+        if not (
+            isinstance(rows, list)
+            and len(rows) == n
+            and all(isinstance(row, list) and len(row) == n for row in rows)
+        ):
+            raise SideConditionViolated("payload is not a %d x %d matrix" % (n, n))
+        a = alg.element_from_json(rows)
+        if not fam.contains(a, i, j):
+            raise SideConditionViolated("payload not in the declared Peirce component")
+        out = out * gen(ctx, i, j, fam.project(a, i, j), item.get("e", 1))
     return out

@@ -275,7 +275,7 @@ def test_criterion_7_perfectness_witnesses():
                         continue
                     w = express_as_commutators(ctx, i, k, c, j=j)
                     checked += 1
-                    bad += st_eval(w) != alg.add(alg.one, c)
+                    bad += st_eval(w) != alg.add(alg.one, fam.to_matrix(c, i, k))
     ok = bad == 0 and checked == 12 * 2 * 2
     _verdict(
         7,

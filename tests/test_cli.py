@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -427,3 +428,60 @@ def test_ring_elements_must_be_json_integers(tmp_path, command, ring, field, val
     assert code == 2
     assert out == ""
     assert "config error: bad %s" % field in err
+
+
+# Report sha256s of runs over block families with non-singleton blocks,
+# where a payload's block values have more than one cell.  The pinned
+# benchmark workloads all use the units family, so a slip in the order of
+# the cells inside a block would pass them and fail these.
+BLOCK_FAMILY_GOLDEN = {
+    "relations-M4Z2-[[0,1],[2,3]]": (
+        ["relations", "--exhaustive"],
+        {
+            "ring": {"kind": "Mat", "size": 4, "base": {"kind": "Zmod", "m": 2}},
+            "family": [[0, 1], [2, 3]],
+            "system": "homotope",
+            "scale": 1,
+            "k_max": 1,
+            "samples": 50,
+            "seed": 5,
+        },
+        "7573045f7d5820180836779f707d18992eca18e68dff13a3a69ecc7650f16e04",
+    ),
+    "tower-M4Z12-[[0,1],[2],[3]]": (
+        ["tower"],
+        {
+            "ring": {"kind": "Mat", "size": 4, "base": {"kind": "Zmod", "m": 12}},
+            "family": [[0, 1], [2], [3]],
+            "system": "homotope",
+            "scale": 2,
+            "k_max": 3,
+            "samples": 120,
+            "seed": 11,
+        },
+        "17dbc57e6634b584ad878f441f41c13aacc030620b23ebf8fca9eec130c4f0e4",
+    ),
+    # four blocks, so root actors act across the 2 x 2 block too
+    "tower-M5Z6-[[0],[1],[2,4],[3]]": (
+        ["tower"],
+        {
+            "ring": {"kind": "Mat", "size": 5, "base": {"kind": "Zmod", "m": 6}},
+            "family": [[0], [1], [2, 4], [3]],
+            "system": "homotope",
+            "scale": 2,
+            "k_max": 3,
+            "samples": 80,
+            "seed": 2,
+        },
+        "996ff9bf4738d96e8907b0f47747b23dd2b4b7b8bd05fcbf2008841b8023615b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_FAMILY_GOLDEN))
+def test_block_family_reports_match_their_golden_sha256(tmp_path, capsys, name):
+    argv, config, want = BLOCK_FAMILY_GOLDEN[name]
+    cfg = write_config(tmp_path, "golden.json", config)
+    code, out, _ = run_main(capsys, [argv[0], "--config", cfg] + argv[1:])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want

@@ -52,7 +52,7 @@ def test_y_lift_agrees_across_base_points(m3z4, rng):
         a = m3z4.sample_component(i, j, rng)
         plain = y_lift(action, g, i, j, a)
         alt = y_lift(action, g, i, j, a, via_commutators=True)
-        want = _conj(alg, g, alg.add(alg.one, a))
+        want = _conj(alg, g, alg.add(alg.one, m3z4.to_matrix(a, i, j)))
         assert st_eval(plain) == want
         assert st_eval(alt) == want
 
@@ -66,7 +66,8 @@ def test_y_commutator_is_biadditive_under_st(m3z4, rng):
         a1 = m3z4.sample_component(i, j, rng)
         a2 = m3z4.sample_component(i, j, rng)
         b = m3z4.sample_component(j, k, rng)
-        lhs = y_commutator(action, g, i, j, k, alg.add(a1, a2), b)
+        a12 = tuple(map(alg.base.add, a1, a2))
+        lhs = y_commutator(action, g, i, j, k, a12, b)
         rhs = y_commutator(action, g, i, j, k, a1, b) * y_commutator(
             action, g, i, j, k, a2, b
         )

@@ -133,7 +133,7 @@ def test_decomposition_respects_blocked_families(rng):
         assert fac.check(g)
         for w in (fac.w_plus, fac.w_minus, fac.w_plus2):
             for L in w.letters:
-                assert fam.contains(L.a, L.i, L.j)
+                assert len(L.a) == len(fam.cells(L.i, L.j))
 
 
 def test_exhaustive_decomposition_m2_z4():

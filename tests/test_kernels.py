@@ -1,8 +1,10 @@
-"""Differential tests: the sparse letter kernels against dense matrix products.
+"""Differential tests: the block-value letter kernels against dense matrix products.
 
-st_eval and u_normal_form update only the columns (rows) a letter can
-touch.  The references below evaluate the same words with full products
-in the matrix algebra, the way words were evaluated before the kernels.
+A letter carries the block values of its payload, and st_eval and
+u_normal_form update only the columns (rows) a letter can touch.  The
+references below put each payload back into its n x n matrix and
+evaluate the same words with full products in the matrix algebra, the
+way words were evaluated before the kernels.
 """
 
 import itertools
@@ -13,12 +15,14 @@ import pytest
 from sforge import (
     GF,
     Context,
+    DiagonalElement,
     IdempotentFamily,
     Letter,
     MatrixAlgebra,
     NotUnipotentSupport,
     Word,
     Zmod,
+    diag_act,
     random_word,
     st_eval,
     u_normal_form,
@@ -28,18 +32,25 @@ from sforge.words import _position_order, support_sign
 SCALES = (0, 2, 3)
 
 
+def dense(fam, L):
+    """The n x n matrix of a letter's payload."""
+    return fam.to_matrix(L.a, L.i, L.j)
+
+
 def dense_st(w):
     """st(w) by full products: m(1 + a) per letter, or the homotope fold."""
-    alg = w.context.algebra
+    fam = w.context.family
+    alg = fam.algebra
     s = w.context.scale
     if s is None:
         m = alg.one
         for L in w.letters:
-            m = alg.mul(m, alg.add(alg.one, L.a))
+            m = alg.mul(m, alg.add(alg.one, dense(fam, L)))
         return m
     acc = alg.zero
     for L in w.letters:
-        acc = alg.add(alg.scalar_mul(s, alg.mul(acc, L.a)), alg.add(acc, L.a))
+        a = dense(fam, L)
+        acc = alg.add(alg.scalar_mul(s, alg.mul(acc, a)), alg.add(acc, a))
     return acc
 
 
@@ -50,9 +61,9 @@ def dense_normal_form(w, sign):
     residual = dense_st(w)
     out = []
     for i, j in _position_order(fam, sign):
-        a = fam.project(residual, i, j)
+        a = fam.to_matrix(fam.project(residual, i, j), i, j)
         if a != alg.zero:
-            out.append(Letter(i, j, a))
+            out.append(Letter(i, j, fam.project(a, i, j)))
             residual = alg.mul(alg.sub(alg.one, a), residual)
     assert residual == alg.one
     return Word(w.context, tuple(out))
@@ -66,10 +77,21 @@ def scalar(ring, k):
     return ring.element(k)
 
 
+def dense_inverse_letters(w):
+    """The letters of w^-1: reversed, each payload matrix negated."""
+    fam = w.context.family
+    alg = fam.algebra
+    return tuple(
+        Letter(L.i, L.j, fam.project(alg.neg(dense(fam, L)), L.i, L.j))
+        for L in reversed(w.letters)
+    )
+
+
 def assert_kernels_match(fam, w):
     alg = fam.algebra
     plain = Word(Context(fam), w.letters)
     assert st_eval(plain) == dense_st(plain)
+    assert plain.inverse().letters == dense_inverse_letters(plain)
     for k in SCALES:
         ctx = Context(fam, scale=scalar(alg.scalar_ring, k))
         scaled = Word(ctx, w.letters)
@@ -128,12 +150,13 @@ def test_random_eight_letter_words_match_dense(fam):
 def test_projection_reads_the_cached_cells():
     fam = M3Z2_BLOCKS
     alg = fam.algebra
+    def cut(m, i, j):
+        return fam.to_matrix(fam.project(m, i, j), i, j)
+
     for m in itertools.islice(alg.elements(), 0, None, 7):
-        assert fam.project(m, (1, 2), (2,)) == alg.add(
-            fam.project(m, 1, 2), fam.project(m, 2, 2)
-        )
+        assert cut(m, (1, 2), (2,)) == alg.add(cut(m, 1, 2), cut(m, 2, 2))
         for i, j in itertools.product(fam.labels(), repeat=2):
-            assert fam.contains(m, i, j) == (fam.project(m, i, j) == m)
+            assert fam.contains(m, i, j) == (cut(m, i, j) == m)
 
 
 @pytest.mark.parametrize("fam", [M2GF4, IdempotentFamily.matrix_units(MatrixAlgebra(Zmod(12), 4))])
@@ -152,3 +175,64 @@ def test_words_never_fall_back_to_matrix_products(fam, monkeypatch):
     monkeypatch.setattr(MatrixAlgebra, "mul", refuse)
     monkeypatch.setattr(MatrixAlgebra, "add", refuse)
     assert [st_eval(mixed), u_normal_form(upper), st_eval(scaled)] == expected
+
+
+def corner_unit_diagonals(fam):
+    """Every diagonal element, found by the dense unit test: u in R_tt is
+    a corner unit exactly when u + (1 - e_t) is invertible."""
+    alg = fam.algebra
+    per_corner = []
+    for t in fam.labels():
+        outside = alg.sub(alg.one, fam.idempotent(t))
+        units = []
+        for u in fam.component_elements(t, t):
+            U = fam.to_matrix(u, t, t)
+            if alg.is_unit(alg.add(U, outside)):
+                units.append(U)
+        per_corner.append(units)
+    return [DiagonalElement(fam, comps) for comps in itertools.product(*per_corner)]
+
+
+GRIDS = {
+    "M3-Z4-units": IdempotentFamily.matrix_units(MatrixAlgebra(Zmod(4), 3)),
+    "M3-GF4-units": IdempotentFamily.matrix_units(MatrixAlgebra(GF(2, [1, 1, 1]), 3)),
+    "M3-Z2-[[0,1],[2]]": M3Z2_BLOCKS,
+    # two 2 x 2 blocks: four cells per payload, so their order matters
+    "M4-Z2-[[0,1],[2,3]]": IdempotentFamily(MatrixAlgebra(Zmod(2), 4), [[0, 1], [2, 3]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_block_kernels_match_dense_reference(name):
+    """Every block-value kernel against the dense n x n reference, on
+    exhaustive grids: plain and homotope st_eval, Word.inverse and
+    u_normal_form on every word of one or two letters, diag_act on every
+    letter under every diagonal element, and the block product behind the
+    (St3) right side on every pair of components."""
+    fam = GRIDS[name]
+    alg = fam.algebra
+    ctx = Context(fam)
+    letters = all_letters(fam)
+    for L in letters:
+        assert_kernels_match(fam, Word(ctx, (L,)))
+    for pair in itertools.product(letters, repeat=2):
+        assert_kernels_match(fam, Word(ctx, pair))
+
+    diagonals = corner_unit_diagonals(fam)
+    assert diagonals
+    for d in diagonals:
+        g = d.embed()
+        g_inv = alg.inv(g)
+        for L in letters:
+            conj = alg.mul(g, alg.mul(dense(fam, L), g_inv))
+            assert fam.contains(conj, L.i, L.j)
+            want = Letter(L.i, L.j, fam.project(conj, L.i, L.j))
+            assert diag_act(d, Word(ctx, (L,))).letters == (want,)
+
+    labels = list(fam.labels())
+    for i, j, k in itertools.product(labels, repeat=3):
+        for a in fam.component_elements(i, j):
+            A = fam.to_matrix(a, i, j)
+            for b in fam.component_elements(j, k):
+                ab = alg.mul(A, fam.to_matrix(b, j, k))
+                assert fam.block_mul(a, i, j, b, k) == fam.project(ab, i, k)

@@ -229,14 +229,16 @@ def test_corner_inverse_matches_full_inverse(base, n, blocks):
         outside = A.sub(A.one, e)
         for _ in range(12):
             u = fam.project(random_element(A, rng), labels, labels)
-            full = A.add(u, outside)
+            U = fam.to_matrix(u, labels, labels)
+            full = A.add(U, outside)
             unit = A.is_unit(full)
             seen[unit] += 1
             assert fam.corner_is_unit(u, labels) == unit
             if unit:
                 v = fam.corner_inv(u, labels)
                 assert v == fam.project(A.inv(full), labels, labels)
-                assert A.mul(u, v) == e == A.mul(v, u)
+                V = fam.to_matrix(v, labels, labels)
+                assert A.mul(U, V) == e == A.mul(V, U)
             else:
                 with pytest.raises(NotInvertible):
                     fam.corner_inv(u, labels)

@@ -20,9 +20,12 @@ def test_projection_cuts_one_block():
     A = MatrixAlgebra(Zmod(4), 2)
     fam = IdempotentFamily.matrix_units(A)
     m = A.element([[1, 2], [3, 0]])
-    assert fam.project(m, 1, 2) == A.element([[0, 2], [0, 0]])
-    assert fam.project(m, 2, 1) == A.element([[0, 0], [3, 0]])
-    assert fam.project(m, 1, 1) == A.element([[1, 0], [0, 0]])
+    assert fam.project(m, 1, 2) == (2,)
+    assert fam.project(m, 2, 1) == (3,)
+    assert fam.project(m, 1, 1) == (1,)
+    assert fam.to_matrix(fam.project(m, 1, 2), 1, 2) == A.element([[0, 2], [0, 0]])
+    assert fam.to_matrix(fam.project(m, 2, 1), 2, 1) == A.element([[0, 0], [3, 0]])
+    assert fam.to_matrix(fam.project(m, 1, 1), 1, 1) == A.element([[1, 0], [0, 0]])
 
 
 def test_projections_sum_to_identity_map(rng):
@@ -35,7 +38,7 @@ def test_projections_sum_to_identity_map(rng):
         total = A.zero
         for i in fam.labels():
             for j in fam.labels():
-                total = A.add(total, fam.project(m, i, j))
+                total = A.add(total, fam.to_matrix(fam.project(m, i, j), i, j))
         assert total == m
 
 
@@ -80,7 +83,7 @@ def test_witnesses_recompose_the_idempotent(rng):
                 continue
             total = A.zero
             for x, y in fam.witnesses(i, j):
-                total = A.add(total, A.mul(x, y))
+                total = A.add(total, A.mul(fam.to_matrix(x, i, j), fam.to_matrix(y, j, i)))
             assert total == fam.idempotent(i)
 
 
@@ -92,10 +95,10 @@ def test_morita_decomposition_recomposes(rng):
         c = fam.sample_component(i, k, rng)
         total = A.zero
         for a, b in morita_decompose(fam, c, i, j, k):
-            assert fam.contains(a, i, j)
-            assert fam.contains(b, j, k)
-            total = A.add(total, A.mul(a, b))
-        assert total == c
+            assert len(a) == len(fam.cells(i, j))
+            assert len(b) == len(fam.cells(j, k))
+            total = A.add(total, A.mul(fam.to_matrix(a, i, j), fam.to_matrix(b, j, k)))
+        assert total == fam.to_matrix(c, i, k)
 
 
 def test_morita_decomposition_rejects_bad_aux(m3z4):
@@ -107,20 +110,24 @@ def test_morita_decomposition_rejects_bad_aux(m3z4):
 def test_component_membership_and_sizes(m3z4):
     assert m3z4.component_size(1, 2) == 4
     els = list(m3z4.component_elements(1, 2))
-    assert len(els) == 4
+    assert len(els) == 4 == len(set(els))
     for a in els:
-        assert m3z4.contains(a, 1, 2)
-        assert not m3z4.contains(a, 2, 1) or a == m3z4.algebra.zero
+        m = m3z4.to_matrix(a, 1, 2)
+        assert m3z4.contains(m, 1, 2)
+        assert not m3z4.contains(m, 2, 1) or m == m3z4.algebra.zero
+        assert m3z4.project(m, 1, 2) == a
 
 
 def test_corner_inverse_via_global_unit(m3z4):
     A = m3z4.algebra
-    u = A.unit_matrix(0, 0, 3)  # 3 is a unit mod 4
+    u = (3,)  # 3 is a unit mod 4
     assert m3z4.corner_is_unit(u, 1)
     v = m3z4.corner_inv(u, 1)
-    assert A.mul(u, v) == m3z4.idempotent(1)
-    assert A.mul(v, u) == m3z4.idempotent(1)
-    assert not m3z4.corner_is_unit(A.unit_matrix(0, 0, 2), 1)
+    U, V = m3z4.to_matrix(u, 1, 1), m3z4.to_matrix(v, 1, 1)
+    assert U == A.unit_matrix(0, 0, 3)
+    assert A.mul(U, V) == m3z4.idempotent(1)
+    assert A.mul(V, U) == m3z4.idempotent(1)
+    assert not m3z4.corner_is_unit((2,), 1)
 
 
 def test_merge_places_united_block_last(m4f2):
@@ -141,8 +148,13 @@ def test_merge_places_united_block_last(m4f2):
                 fine_sum = A.zero
                 for i in ref.fine_of[p]:
                     for j in ref.fine_of[q]:
-                        fine_sum = A.add(fine_sum, m4f2.project(m, i, j))
-                assert coarse.project(m, p, q) == fine_sum
+                        fine_sum = A.add(fine_sum, m4f2.to_matrix(m4f2.project(m, i, j), i, j))
+                        # restrict() reads the fine block off the coarse one
+                        assert ref.restrict(coarse.project(m, p, q), i, j) == m4f2.project(m, i, j)
+                        # extend() puts it back, zero on the other fine blocks
+                        fine = m4f2.to_matrix(m4f2.project(m, i, j), i, j)
+                        assert ref.extend(m4f2.project(m, i, j), i, j) == coarse.project(fine, p, q)
+                assert coarse.to_matrix(coarse.project(m, p, q), p, q) == fine_sum
 
 
 def test_family_json_roundtrip(m4f2):
@@ -158,6 +170,7 @@ def test_factor_through_product_multiplication():
     res = factor_through_product(fam, 1, 2, 3, A.mul, A.add, A.zero)
     assert res
     for c in fam.component_elements(1, 3):
+        c = fam.to_matrix(c, 1, 3)
         assert res.induced(c) == c
 
 

@@ -60,8 +60,12 @@ def test_structure_map_words_scale_payloads(tower, rng):
         w = random_word(tower.context(3), rng, 3)
         v = tower.structure_map_word(w, 1)
         assert v.context.level == 1
+        fam = tower.family
         for L, M in zip(w.letters, v.letters):
-            assert M.a == tower.scalar_pow_mul(2, L.a)
+            assert (M.i, M.j) == (L.i, L.j)
+            assert fam.to_matrix(M.a, M.i, M.j) == tower.scalar_pow_mul(
+                2, fam.to_matrix(L.a, L.i, L.j)
+            )
         assert equal_after_localization(
             tower, tower.structure_map_word(v, 0), tower.structure_map_word(w, 0)
         )
@@ -217,7 +221,7 @@ def test_actor_validation():
 
 def test_actor_denominator_needs_level_headroom(tower, rng):
     fam = tower.family
-    actor = RootActor(tower, 1, 2, fam.sample_component(1, 2, rng), 1)
+    actor = RootActor(tower, 1, 2, fam.to_matrix(fam.sample_component(1, 2, rng), 1, 2), 1)
     w = random_word(tower.context(0), rng, 2)
     with pytest.raises(LevelBudgetExceeded):
         tower_ad(tower, actor, w)

@@ -79,14 +79,17 @@ def test_gen_validates_indices_and_payload(plain):
     with pytest.raises(IndexClash):
         gen(plain, 0, 2, a)
     with pytest.raises(SideConditionViolated):
-        gen(plain, 2, 1, a)
+        gen(plain, 2, 1, a + a)
+    with pytest.raises(SideConditionViolated):
+        gen(plain, 1, 2, fam.to_matrix(a, 1, 2))
     with pytest.raises(ValueError):
         gen(plain, 1, 2, a, e=2)
     alg = plain.algebra
-    assert gen(plain, 1, 2, a, e=-1).letters[0].a == alg.neg(a)
+    inv = gen(plain, 1, 2, a, e=-1).letters[0].a
+    assert fam.to_matrix(inv, 1, 2) == alg.neg(fam.to_matrix(a, 1, 2))
     assert st_eval(gen(plain, 1, 2, a) * gen(plain, 1, 2, a, e=-1)) == alg.one
     # zero payloads are legal letters
-    assert st_eval(gen(plain, 1, 2, alg.zero)) == alg.one
+    assert st_eval(gen(plain, 1, 2, fam.project(alg.zero, 1, 2))) == alg.one
 
 
 def test_relation_instances_sampled(plain, homotope, rng):
@@ -130,9 +133,9 @@ def test_homotope_st3_needs_the_scale(homotope, rng):
         a = fam.sample_component(1, 2, rng)
         b = fam.sample_component(2, 3, rng)
         lhs = commutator(gen(homotope, 1, 2, a), gen(homotope, 2, 3, b))
-        c = alg.mul(a, b)
-        scaled = gen(homotope, 1, 3, alg.scalar_mul(homotope.scale, c))
-        plainly = gen(homotope, 1, 3, c)
+        c = alg.mul(fam.to_matrix(a, 1, 2), fam.to_matrix(b, 2, 3))
+        scaled = gen(homotope, 1, 3, fam.project(alg.scalar_mul(homotope.scale, c), 1, 3))
+        plainly = gen(homotope, 1, 3, fam.project(c, 1, 3))
         assert st_eval(lhs) == st_eval(scaled)
         if st_eval(lhs) != st_eval(plainly):
             hits += 1
@@ -167,7 +170,8 @@ def test_reduce_canonicalizes_commuting_shuffle(plain, rng):
     assert reduce_word(w1) == reduce_word(w2)
     # same slot merges, zeros drop
     alg = plain.algebra
-    w3 = word(plain, [(1, 2, a), (1, 2, alg.neg(a)), (3, 2, c)])
+    neg_a = fam.project(alg.neg(fam.to_matrix(a, 1, 2)), 1, 2)
+    w3 = word(plain, [(1, 2, a), (1, 2, neg_a), (3, 2, c)])
     assert reduce_word(w3) == reduce_word(word(plain, [(3, 2, c)]))
 
 
@@ -214,7 +218,8 @@ def test_equal_words_grades(plain, rng):
     assert verdict == (st_eval(up) == st_eval(v))
     assert oracle in ("word", "normal-form")
     mixed = up * random_word(plain, rng, 2, sign=-1)
-    verdict, oracle = equal_words(mixed, mixed * word(plain, [(1, 2, plain.algebra.zero)]))
+    zero = plain.family.project(plain.algebra.zero, 1, 2)
+    verdict, oracle = equal_words(mixed, mixed * word(plain, [(1, 2, zero)]))
     assert verdict and oracle in ("word", "st")
 
 
@@ -272,6 +277,26 @@ def test_merge_then_split_preserves_st(m4f2, rng):
         assert st_eval(round_trip) == st_eval(w)
 
 
+def test_split_and_merge_keep_st_on_multi_cell_blocks(rng):
+    """Splitting and merging words between families whose blocks have
+    several, interleaved positions moves block values cell by cell: both
+    maps keep the st image, and the cuts agree with the dense projections."""
+    A = MatrixAlgebra(Zmod(3), 5)
+    fine = IdempotentFamily(A, [[0], [1, 3], [2], [4]])
+    coarse, ref = fine.merge(2, 3)  # the merged class sits at positions 1, 2, 3
+    for _ in range(100):
+        w = random_word(Context(coarse), rng, rng.randrange(1, 5))
+        split = f_alpha(w, ref)
+        assert st_eval(split) == st_eval(w)
+        for L in split.letters:
+            I, J = ref.label_map[L.i], ref.label_map[L.j]
+            dense = fine.to_matrix(L.a, L.i, L.j)
+            assert ref.extend(L.a, L.i, L.j) == coarse.project(dense, I, J)
+        v = random_word(Context(fine), rng, rng.randrange(1, 5))
+        assert st_eval(g_alpha(v, ref)) == st_eval(v)
+        assert reduce_word(g_alpha(f_alpha(w, ref), ref)) == reduce_word(w)
+
+
 def test_merge_map_needs_rank(rng):
     A = MatrixAlgebra(Zmod(2), 3)
     fam = IdempotentFamily.matrix_units(A)
@@ -291,11 +316,12 @@ def test_express_as_commutators(m4f2, rng):
         i, k = rng.sample(list(m4f2.labels()), 2)
         c = m4f2.sample_component(i, k, rng)
         w = express_as_commutators(ctx, i, k, c)
-        assert st_eval(w) == alg.add(alg.one, c)
+        assert st_eval(w) == alg.add(alg.one, m4f2.to_matrix(c, i, k))
         assert len(w.letters) % 4 == 0
-    assert express_as_commutators(ctx, 1, 2, alg.zero).letters == ()
+    zero = m4f2.project(alg.zero, 1, 2)
+    assert express_as_commutators(ctx, 1, 2, zero).letters == ()
     with pytest.raises(IndexClash):
-        express_as_commutators(ctx, 1, 2, alg.zero, j=2)
+        express_as_commutators(ctx, 1, 2, zero, j=2)
 
 
 def test_express_as_commutators_needs_three_blocks():
@@ -313,28 +339,76 @@ def test_word_json_roundtrip(plain, rng):
         assert back == w
 
 
+BOUNDARY_FAMILIES = {
+    "M3-Z4-units": (Zmod(4), 3, None),
+    "M4-Z2-[[0,1],[2,3]]": (Zmod(2), 4, [[0, 1], [2, 3]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_FAMILIES))
+def test_entry_points_refuse_payloads_outside_the_component(name):
+    """gen takes block values and word_from_json takes the n x n wire
+    matrix; both refuse a wire matrix with a nonzero entry off R_ij and a
+    value tuple of the wrong length."""
+    base, n, blocks = BOUNDARY_FAMILIES[name]
+    A = MatrixAlgebra(base, n)
+    fam = IdempotentFamily.matrix_units(A) if blocks is None else IdempotentFamily(A, blocks)
+    ctx = Context(fam)
+    rng = random.Random(11)
+    one = base.element(1)
+    for i, j in ((1, 2), (2, 1)):
+        cells = set(fam.cells(i, j))
+        a = fam.sample_component(i, j, rng)
+        wire = word_to_json(gen(ctx, i, j, a))
+        assert word_from_json(ctx, wire) == gen(ctx, i, j, a)
+        assert wire["letters"][0]["a"] == A.element_to_json(fam.to_matrix(a, i, j))
+        for r in range(n):
+            for c in range(n):
+                if (r, c) in cells:
+                    continue
+                bad = [list(row) for row in wire["letters"][0]["a"]]
+                bad[r][c] = 1
+                item = dict(wire["letters"][0], a=bad)
+                with pytest.raises(SideConditionViolated):
+                    word_from_json(ctx, dict(wire, letters=[item]))
+        for values in (a[:-1], a + (one,), ()):
+            with pytest.raises(SideConditionViolated):
+                gen(ctx, i, j, values)
+            item = dict(wire["letters"][0], a=list(values))
+            with pytest.raises(SideConditionViolated):
+                word_from_json(ctx, dict(wire, letters=[item]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=-8, max_value=8), min_size=2, max_size=2))
 def test_additivity_matches_integer_model(vals):
     A = MatrixAlgebra(Zmod(4), 3)
     fam = IdempotentFamily.matrix_units(A)
     ctx = Context(fam)
-    pay = [A.scalar_mul(A.base.element(v), A.unit_matrix(0, 1, 1)) for v in vals]
+    pay = [
+        fam.project(A.scalar_mul(A.base.element(v), A.unit_matrix(0, 1, 1)), 1, 2)
+        for v in vals
+    ]
     lhs = gen(ctx, 1, 2, pay[0]) * gen(ctx, 1, 2, pay[1])
-    rhs = gen(ctx, 1, 2, A.scalar_mul(A.base.element(sum(vals)), A.unit_matrix(0, 1, 1)))
+    total = A.scalar_mul(A.base.element(sum(vals)), A.unit_matrix(0, 1, 1))
+    rhs = gen(ctx, 1, 2, fam.project(total, 1, 2))
     assert st_eval(lhs) == st_eval(rhs)
     assert u_normal_form(lhs) == u_normal_form(rhs)
 
 
 def _relation_sides(ctx, kind, i, j, k, l, a, b):
     """The two sides of a relation instance, built independently of
-    check_relation_instance."""
+    check_relation_instance: the right side's payload is a sum or product
+    of n x n matrices, cut back to block values."""
     alg = ctx.algebra
+    fam = ctx.family
     if kind == "St1":
-        return gen(ctx, i, j, a) * gen(ctx, i, j, b), gen(ctx, i, j, alg.add(a, b))
+        c = alg.add(fam.to_matrix(a, i, j), fam.to_matrix(b, i, j))
+        return gen(ctx, i, j, a) * gen(ctx, i, j, b), gen(ctx, i, j, fam.project(c, i, j))
     if kind == "St2":
         return commutator(gen(ctx, i, j, a), gen(ctx, k, l, b)), word(ctx, [])
-    return commutator(gen(ctx, i, j, a), gen(ctx, j, k, b)), gen(ctx, i, k, alg.mul(a, b))
+    c = alg.mul(fam.to_matrix(a, i, j), fam.to_matrix(b, j, k))
+    return commutator(gen(ctx, i, j, a), gen(ctx, j, k, b)), gen(ctx, i, k, fam.project(c, i, k))
 
 
 def _common_support(w1, w2):
@@ -382,9 +456,10 @@ def test_relation_st_comparison_matches_normal_form_oracle(name, monkeypatch):
                     if kind != "St3":
                         continue
                     r, c = fam.cells(i, k)[0]
-                    bad_c = A.add(A.mul(a, b), A.unit_matrix(r, c))
+                    ab = A.mul(fam.to_matrix(a, i, j), fam.to_matrix(b, j, k))
+                    bad_c = fam.project(A.add(ab, A.unit_matrix(r, c)), i, k)
                     with monkeypatch.context() as mp:
-                        mp.setattr(A, "mul", lambda x, y: bad_c)
+                        mp.setattr(fam, "block_mul", lambda *args: bad_c)
                         res = check_relation_instance(ctx, kind, i, j, k, l, a, b)
                     assert res == (False, "st", "St3")
                     bad = gen(ctx, i, k, bad_c)
@@ -414,11 +489,11 @@ def test_relation_checks_compute_no_normal_form(plain, rng, monkeypatch):
     assert res == (True, "st+normal-form", "St1")
     out = sample_relations(plain, rng, ("St1", "St2", "St3"), 50)
     assert all(v == {"checked": 50, "violations": 0} for v in out.values())
-    A = plain.algebra
-    x12 = gen(plain, 1, 2, A.unit_matrix(0, 1))
-    x23 = gen(plain, 2, 3, A.unit_matrix(1, 2))
+    one = (plain.algebra.base.one,)
+    x12 = gen(plain, 1, 2, one)
+    x23 = gen(plain, 2, 3, one)
     assert equal_words(x12 * x23, x23 * x12) == (False, "normal-form")
-    assert equal_words(commutator(x12, x23), gen(plain, 1, 3, A.unit_matrix(0, 2))) == (
+    assert equal_words(commutator(x12, x23), gen(plain, 1, 3, one)) == (
         True,
         "normal-form",
     )
@@ -432,19 +507,28 @@ INVERSE_CASES = {
 
 @pytest.mark.parametrize("name", sorted(INVERSE_CASES))
 def test_inverse_negates_only_the_letter_cells(name, monkeypatch):
+    """Inversion negates each letter's block values; it negates no n x n
+    matrix and builds none."""
     A = MatrixAlgebra(INVERSE_CASES[name], 3)
-    ctx = Context(IdempotentFamily(A, [[0, 1], [2]]))
+    fam = IdempotentFamily(A, [[0, 1], [2]])
+    ctx = Context(fam)
     rng = random.Random(7)
     words = [random_word(ctx, rng, rng.randrange(1, 8)) for _ in range(40)]
     want = [
-        tuple((L.i, L.j, A.neg(L.a)) for L in reversed(w.letters)) for w in words
+        tuple(
+            (L.i, L.j, fam.project(A.neg(fam.to_matrix(L.a, L.i, L.j)), L.i, L.j))
+            for L in reversed(w.letters)
+        )
+        for w in words
     ]
 
-    def refuse(self, a):
-        raise AssertionError("MatrixAlgebra.neg called")
+    def refuse(*args):
+        raise AssertionError("n x n matrix built or negated")
 
-    monkeypatch.setattr(MatrixAlgebra, "neg", refuse)
-    for w, expected in zip(words, want):
-        inv = w.inverse()
+    with monkeypatch.context() as mp:
+        mp.setattr(MatrixAlgebra, "neg", refuse)
+        mp.setattr(IdempotentFamily, "to_matrix", refuse)
+        inverses = [w.inverse() for w in words]
+    for w, inv, expected in zip(words, inverses, want):
         assert tuple(inv.letters) == expected
         assert A.mul(st_eval(w), st_eval(inv)) == A.one

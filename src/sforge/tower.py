@@ -14,8 +14,12 @@ difference no power of s annihilates.
 Actors over the localized ring (payloads given as numerator/denominator
 pairs) act on words letter by letter; st is equivariant for the action
 after embedding both sides into GL over the localized scalar ring.  An
-actor keeps its numerator as an n x n matrix, for the GL side, and its
-block values, which multiply the block values of the letters it acts on.
+actor carries only block values: its numerator's on its component, and
+for a diagonal actor also those of its inverse.  They multiply the block
+values of the letters it acts on, and on the GL side conjugation uses
+the known inverse (1 - v for a root actor, the stored inverse block for a
+diagonal one) as block row and column updates, so no n x n matrix is
+inverted or multiplied.
 """
 
 from __future__ import annotations
@@ -283,23 +287,22 @@ def premorphism_equiv(tower, f, g, carrier, budget=None):
 
 
 class LocalizedTower:
-    """The algebra over the localized scalar ring, with transfer maps.
+    """The matrix algebra over the localized scalar ring, with transfer maps.
 
-    psi applies the scalar localization entrywise; scalar_loc.lift is a
-    set-level section of it.  gamma(k, q) = 1 + psi(s^k * q) embeds the
-    level-k quasi-invertible elements into the localized unit group.
+    psi = scalar_loc.psi is the scalar localization, applied entrywise;
+    scalar_loc.lift is a set-level section of it.  gamma(k, q) =
+    1 + psi(s^k * q) embeds the level-k quasi-invertible elements into the
+    localized unit group.
     """
 
     def __init__(self, tower):
+        if not isinstance(tower.algebra, MatrixAlgebra):
+            raise SforgeError("localized towers need a matrix algebra")
         self.tower = tower
         loc = localize_finite(tower.scalar, tower.s)
         self.scalar_loc = loc
         self.warning = loc.warning
-        alg = tower.algebra
-        if isinstance(alg, MatrixAlgebra):
-            self.algebra = MatrixAlgebra(loc.ring, alg.n)
-        else:
-            self.algebra = loc.ring
+        self.algebra = MatrixAlgebra(loc.ring, tower.algebra.n)
         self.family = (
             IdempotentFamily(self.algebra, tower.family.blocks)
             if tower.family is not None
@@ -308,12 +311,6 @@ class LocalizedTower:
         self.s_unit = loc.psi(tower.s)
         self._s_inv = loc.ring.inv(self.s_unit)
 
-    def psi(self, a):
-        p = self.scalar_loc.psi
-        if isinstance(self.algebra, MatrixAlgebra):
-            return tuple(tuple(p(x) for x in row) for row in a)
-        return p(a)
-
     def s_pow_inv(self, e):
         v = self.scalar_loc.ring.one
         for _ in range(e):
@@ -321,42 +318,83 @@ class LocalizedTower:
         return v
 
     def gamma(self, k, q):
-        """1 + psi(s^k * q), the localized image of a level-k element."""
-        return self.algebra.add(self.algebra.one, self.psi(self.tower.scalar_pow_mul(k, q)))
+        """1 + psi(s^k * q), the localized image of a level-k element,
+        in one pass over the entries of q."""
+        s = self.tower.scale(k)
+        mul = self.tower.scalar.scalar_mul
+        psi = self.scalar_loc.psi
+        base = self.algebra.base
+        rows = [[psi(mul(s, x)) for x in row] for row in q]
+        for t, row in enumerate(rows):
+            row[t] = base.add(base.one, row[t])
+        return tuple(map(tuple, rows))
 
-    def conj(self, g, x):
-        return self.algebra.mul(g, self.algebra.mul(x, self.algebra.inv(g)))
+    def conj(self, actor, x):
+        """g x g^-1 for the localized image g of the actor, from its block
+        values and its known inverse; no matrix is inverted or multiplied.
 
-    def actor_image(self, actor):
-        scaled = self.algebra.scalar_mul(self.s_pow_inv(actor.den), self.psi(actor.num))
+        A root actor is g = 1 + v with v = psi(num)/s^den in R_ij and
+        g^-1 = 1 - v: the block-i rows gain v times the block-j rows, then
+        the block-j columns gain the block-i columns times -v.  A diagonal
+        actor is g = 1 - e_i + u with u = psi(num)/s^den in R_ii and
+        g^-1 = 1 - e_i + psi(inv_block): the block-i rows are replaced by
+        u times themselves, then the block-i columns by themselves times
+        psi(inv_block).  O(n |block i| (|block i| + |block j|)) ring
+        operations.
+        """
+        fam = self.family
+        base = self.algebra.base
+        psi = self.scalar_loc.psi
+        c = self.s_pow_inv(actor.den)
+        # a: the block values of v or u; b: those of the inverse's block
+        a = tuple([base.mul(c, psi(x)) for x in actor.block])
+        i = actor.i
         if isinstance(actor, RootActor):
-            return self.algebra.add(self.algebra.one, scaled)
-        e_i = self.family.idempotent(actor.i)
-        return self.algebra.add(self.algebra.sub(self.algebra.one, e_i), scaled)
+            j = actor.j
+            b = tuple(map(base.neg, a))
+            update = base.add
+        else:
+            j = i
+            b = tuple(map(psi, actor.inv_block))
+            update = lambda old, new: new
+        every = tuple(fam.labels())
+        pos_i, pos_j = fam.support(i), fam.support(j)
+        n = len(x)
+        rows = [list(row) for row in x]
+        # g x: the block-i rows, from a times the block-j rows
+        top = fam.block_mul(a, i, j, [v for p in pos_j for v in rows[p]], every)
+        for t, p in enumerate(pos_i):
+            rows[p] = list(map(update, rows[p], top[t * n:(t + 1) * n]))
+        # (g x) g^-1: the block-j columns, from the block-i columns times b
+        right = fam.block_mul([row[p] for row in rows for p in pos_i], every, i, b, j)
+        w = len(pos_j)
+        for r, row in enumerate(rows):
+            for t, p in enumerate(pos_j):
+                row[p] = update(row[p], right[r * w + t])
+        return tuple(map(tuple, rows))
 
 
 class DiagActor:
     """The diagonal generator with num/s^den in corner slot i.
 
-    block and inv_block are the block values on R_ii of num and of the
-    lifted s^den * num^{-1}.
+    block is the block values of num on R_ii, and inv_block those of the
+    lifted s^den * num^{-1}, computed once on the localized corner.
     """
 
-    def __init__(self, tower, i, num, den=0):
+    def __init__(self, tower, i, block, den=0):
         fam = tower.family
         if fam is None:
             raise SforgeError("actors need an idempotent family")
-        if not fam.contains(num, i, i):
+        block = tuple(block)
+        if len(block) != len(fam.cells(i, i)):
             raise NonInvertibleComponent("numerator not in corner %d" % i)
         loc = tower.localized()
         sl = loc.scalar_loc
-        block = fam.project(num, i, i)
         block_loc = tuple(map(sl.psi, block))
         if not loc.family.corner_is_unit(block_loc, i):
             raise NonInvertibleComponent("numerator not invertible after localization")
         self.tower = tower
         self.i = i
-        self.num = num
         self.den = den
         self.block = block
         # lift of s^den * num^{-1} from the localized corner
@@ -364,11 +402,10 @@ class DiagActor:
         self.inv_block = tuple(
             sl.lift(sl.ring.scalar_mul(sd, x)) for x in loc.family.corner_inv(block_loc, i)
         )
-        self._inv_num = fam.to_matrix(self.inv_block, i, i)
 
     def inverse(self):
         """d_i of the lifted localized inverse, at denominator zero."""
-        return DiagActor(self.tower, self.i, self._inv_num, 0)
+        return DiagActor(self.tower, self.i, self.inv_block, 0)
 
     def __repr__(self):
         return "DiagActor(i=%d, den=%d)" % (self.i, self.den)
@@ -378,24 +415,25 @@ class RootActor:
     """The root generator x_ij(num/s^den) over the localized ring; block
     is the block values of num on R_ij."""
 
-    def __init__(self, tower, i, j, num, den=0):
+    def __init__(self, tower, i, j, block, den=0):
         fam = tower.family
         if fam is None:
             raise SforgeError("actors need an idempotent family")
         require_blocks(fam, 4, "a root actor")
         if i == j:
             raise SforgeError("root actor indices must differ")
-        if not fam.contains(num, i, j):
+        block = tuple(block)
+        if len(block) != len(fam.cells(i, j)):
             raise SforgeError("numerator not in the declared component")
         self.tower = tower
         self.i = i
         self.j = j
-        self.num = num
         self.den = den
-        self.block = fam.project(num, i, j)
+        self.block = block
 
     def inverse(self):
-        return RootActor(self.tower, self.i, self.j, self.tower.algebra.neg(self.num), self.den)
+        neg = self.tower.algebra.base.neg
+        return RootActor(self.tower, self.i, self.j, tuple(map(neg, self.block)), self.den)
 
     def __repr__(self):
         return "RootActor(i=%d, j=%d, den=%d)" % (self.i, self.j, self.den)
@@ -515,8 +553,7 @@ def ad_equivariance_check(tower, actor, w):
     out = tower_ad(tower, actor, w)
     src = presented_source(tower, actor, w)
     lhs = loc.gamma(out.context.level, st_eval(out))
-    ghat = loc.actor_image(actor)
-    rhs = loc.conj(ghat, loc.gamma(src.context.level, st_eval(src)))
+    rhs = loc.conj(actor, loc.gamma(src.context.level, st_eval(src)))
     return lhs == rhs, out
 
 
@@ -530,27 +567,27 @@ def equal_after_localization(tower, w1, w2):
 
 
 def _sample_matrix(fam, i, j, rng):
-    """A random element of R_ij, as an n x n matrix: actor numerators and
-    operator carriers live in R, not in a letter."""
+    """A random element of R_ij, as an n x n matrix: operator carriers
+    live in R, not in a letter."""
     return fam.to_matrix(fam.sample_component(i, j, rng), i, j)
 
 
 def _sample_diag_actor(tower, rng, i, den, tries=64):
     fam = tower.family
     for _ in range(tries):
-        num = _sample_matrix(fam, i, i, rng)
         try:
-            return DiagActor(tower, i, num, den)
+            return DiagActor(tower, i, fam.sample_component(i, i, rng), den)
         except NonInvertibleComponent:
             continue
     return None
 
 
 def _random_actor(tower, rng, den):
-    labels = list(tower.family.labels())
+    fam = tower.family
+    labels = list(fam.labels())
     i, j = rng.sample(labels, 2)
     if len(labels) >= 4 and rng.random() < 0.5:
-        return RootActor(tower, i, j, _sample_matrix(tower.family, i, j, rng), den)
+        return RootActor(tower, i, j, fam.sample_component(i, j, rng), den)
     return _sample_diag_actor(tower, rng, i, den)
 
 
@@ -650,6 +687,7 @@ def actor_relation_suite(tower, rng, samples=25):
     require_blocks(fam, 2, "the actor relation suite")
     labels = list(fam.labels())
     n = len(labels)
+    mul = fam.block_mul
     cases = {}
 
     def tally(name, ok):
@@ -670,7 +708,7 @@ def actor_relation_suite(tower, rng, samples=25):
             continue
         k_src = tower.k_max
         w = random_word(tower.context(k_src), rng, 2, avoid={(j, i)})
-        prod = DiagActor(tower, i, fam.algebra.mul(u1.num, u2.num), 2 * du)
+        prod = DiagActor(tower, i, mul(u1.block, i, i, u2.block, i), 2 * du)
         ok = equal_after_localization(tower, act([u1, u2], w), tower_ad(tower, prod, w))
         tally("diag_product", ok)
         ok = equal_after_localization(tower, act([u1, uj], w), act([uj, u1], w))
@@ -678,17 +716,17 @@ def actor_relation_suite(tower, rng, samples=25):
 
         if n < 4:
             continue
-        v = _sample_matrix(fam, i, j, rng)
+        v = fam.sample_component(i, j, rng)
         x = RootActor(tower, i, j, v, du)
         conj = act([u1, x, u1.inverse()], w)
         direct = tower_ad(
-            tower, RootActor(tower, i, j, fam.algebra.mul(u1.num, v), 2 * du), w
+            tower, RootActor(tower, i, j, mul(u1.block, i, i, v, j), 2 * du), w
         )
         tally("diag_root_left", equal_after_localization(tower, conj, direct))
         conj = act([uj, x, uj.inverse()], w)
         direct = tower_ad(
             tower,
-            RootActor(tower, i, j, fam.algebra.mul(v, uj.inverse().num), du),
+            RootActor(tower, i, j, mul(v, i, j, uj.inv_block, j), du),
             w,
         )
         tally("diag_root_right", equal_after_localization(tower, conj, direct))
@@ -706,8 +744,8 @@ def actor_relation_suite(tower, rng, samples=25):
         for _ in range(samples):
             i, j, k2, l = random_relation_indices(fam, rng, "St2")
             dv = rng.randrange(2) if tower.k_max >= 4 else 0
-            x = RootActor(tower, i, j, _sample_matrix(fam, i, j, rng), dv)
-            y = RootActor(tower, k2, l, _sample_matrix(fam, k2, l, rng), dv)
+            x = RootActor(tower, i, j, fam.sample_component(i, j, rng), dv)
+            y = RootActor(tower, k2, l, fam.sample_component(k2, l, rng), dv)
             w = random_word(
                 tower.context(tower.k_max), rng, 2, avoid={(j, i), (l, k2)}
             )
@@ -716,8 +754,8 @@ def actor_relation_suite(tower, rng, samples=25):
                 equal_after_localization(tower, act([x, y], w), act([y, x], w)),
             )
             i, j, k2, _ = random_relation_indices(fam, rng, "St3")
-            x = RootActor(tower, i, j, _sample_matrix(fam, i, j, rng), dv)
-            y = RootActor(tower, j, k2, _sample_matrix(fam, j, k2, rng), dv)
+            x = RootActor(tower, i, j, fam.sample_component(i, j, rng), dv)
+            y = RootActor(tower, j, k2, fam.sample_component(j, k2, rng), dv)
             if tower.k_max < 4 * dv:
                 continue
             w = random_word(
@@ -726,7 +764,7 @@ def actor_relation_suite(tower, rng, samples=25):
             comm = act([x, y, x.inverse(), y.inverse()], w)
             direct = tower_ad(
                 tower,
-                RootActor(tower, i, k2, fam.algebra.mul(x.num, y.num), 2 * dv),
+                RootActor(tower, i, k2, fam.block_mul(x.block, i, j, y.block, k2), 2 * dv),
                 w,
             )
             tally("root_st3", equal_after_localization(tower, comm, direct))
@@ -789,17 +827,32 @@ def scaled_operator_suite(tower, rng, max_extra=2, exponents=(0, 1, 2), cap=256)
         report["identities"]["checked"] += 1
         report["identities"]["violations"] += not ok
 
+    report["inequivalent_found"] = _inequivalent_pair(tower, corner, carrier)
+    return report
+
+
+def _inequivalent_pair(tower, corner, carrier):
+    """Is some pair of operators L_a, L_b (a, b in corner) certified
+    inequivalent on the carrier?
+
+    For each a, the first b whose difference survives onto the power cycle
+    of s is compared: its probe s^e (a - b) c, with e the stable exponent,
+    is nonzero for some c.  A pair with s^e (a - b) = 0 is skipped without
+    a product, so a nilpotent scale, where every such difference is zero,
+    costs no product.
+    """
+    alg = tower.algebra
+    e = tower.stable_exponent()
     for a in corner:
         for b in corner:
-            diff = alg.sub(a, b)
-            probe = [alg.mul(tower.scalar_pow_mul(tower.stable_exponent(), diff), c) for c in carrier]
-            if any(p != alg.zero for p in probe):
+            diff = tower.scalar_pow_mul(e, alg.sub(a, b))
+            if diff == alg.zero:
+                continue
+            if any(alg.mul(diff, c) != alg.zero for c in carrier):
                 f = ScaledOperator(alg, "L", a, 0)
                 g = ScaledOperator(alg, "L", b, 0)
                 verdict = premorphism_equiv(tower, f, g, carrier)
                 if verdict.status == "inequivalent" and verdict.witness is not None:
-                    report["inequivalent_found"] = True
+                    return True
                 break
-        if report["inequivalent_found"]:
-            break
-    return report
+    return False

@@ -147,18 +147,23 @@ def gen(ctx, i, j, a, e=1):
     a must hold one value per cell of (i, j); any other count raises
     SideConditionViolated.
     """
-    fam = ctx.family
+    a = _letter(ctx.family, i, j, a).a
+    if e == -1:
+        a = tuple(map(ctx.algebra.base.neg, a))
+    elif e != 1:
+        raise ValueError("letter exponent must be +1 or -1")
+    return Word(ctx, (Letter(i, j, a),))
+
+
+def _letter(fam, i, j, a):
+    """The validated letter x_ij(a), as gen() validates it."""
     _check_indices(fam, i, j)
     a = tuple(a)
     if len(a) != len(fam.cells(i, j)):
         raise SideConditionViolated(
             "payload has %d values; R_%d%d has %d cells" % (len(a), i, j, len(fam.cells(i, j)))
         )
-    if e == -1:
-        a = tuple(map(ctx.algebra.base.neg, a))
-    elif e != 1:
-        raise ValueError("letter exponent must be +1 or -1")
-    return Word(ctx, (Letter(i, j, a),))
+    return Letter(i, j, a)
 
 
 def word(ctx, items):
@@ -340,31 +345,55 @@ def check_relation_instance(ctx, kind, i, j, k=None, l=None, a=None, b=None):
     two normal forms, which are functions of the st images.  Otherwise
     the grade is "st".
     """
+    lhs, rhs = _relation_sides(ctx, kind, i, j, k, l, a, b)
+    ok = st_eval(lhs) == st_eval(rhs)
+    oracle = "st+normal-form" if ok and _common_support(lhs, rhs) else "st"
+    return RelationCheck(ok, oracle, kind)
+
+
+def _relation_holds(ctx, kind, i, j, k, l, a, b, fault=None):
+    """Do the st images of the two sides agree?  The samplers read only
+    this, so no grade is computed for them."""
+    lhs, rhs = _relation_sides(ctx, kind, i, j, k, l, a, b, fault)
+    return st_eval(lhs) == st_eval(rhs)
+
+
+def _relation_sides(ctx, kind, i, j, k, l, a, b, fault=None):
+    """(left word, right word) of one relation instance, each built once
+    from its letters.  fault corrupts the (St3) right side, as
+    sample_relations describes."""
     fam = ctx.family
     base = fam.algebra.base
     if kind == "St1":
         if a is None or b is None:
             raise SideConditionViolated("St1 needs two payloads")
-        lhs = gen(ctx, i, j, a) * gen(ctx, i, j, b)
-        rhs = gen(ctx, i, j, tuple(map(base.add, a, b)))
-    elif kind == "St2":
+        x, y = _letter(fam, i, j, a), _letter(fam, i, j, b)
+        return Word(ctx, (x, y)), Word(ctx, (Letter(i, j, tuple(map(base.add, x.a, y.a))),))
+    if kind == "St2":
         if j == k or i == l:
             raise SideConditionViolated("St2 requires j != k and i != l")
-        lhs = commutator(gen(ctx, i, j, a), gen(ctx, k, l, b))
-        rhs = Word(ctx)
-    elif kind == "St3":
+        x, y = _letter(fam, i, j, a), _letter(fam, k, l, b)
+        return _commutator_word(ctx, x, y), Word(ctx)
+    if kind == "St3":
         if i == k:
             raise SideConditionViolated("St3 requires distinct outer indices")
-        lhs = commutator(gen(ctx, i, j, a), gen(ctx, j, k, b))
-        c = fam.block_mul(a, i, j, b, k)
-        if ctx.scale is not None:
+        x, y = _letter(fam, i, j, a), _letter(fam, j, k, b)
+        lhs = _commutator_word(ctx, x, y)
+        if fault == "st3-zero":
+            return lhs, Word(ctx)
+        c = fam.block_mul(x.a, i, j, y.a, k)
+        if ctx.scale is not None and fault != "drop-scale":
             c = tuple([base.scalar_mul(ctx.scale, v) for v in c])
-        rhs = gen(ctx, i, k, c)
-    else:
-        raise ValueError("unknown relation %r" % (kind,))
-    ok = st_eval(lhs) == st_eval(rhs)
-    oracle = "st+normal-form" if ok and _common_support(lhs, rhs) else "st"
-    return RelationCheck(ok, oracle, kind)
+        return lhs, Word(ctx, (Letter(i, k, c),))
+    raise ValueError("unknown relation %r" % (kind,))
+
+
+def _commutator_word(ctx, x, y):
+    """The word of [x, y] = x y x^-1 y^-1 for two letters."""
+    neg = ctx.algebra.base.neg
+    x_inv = Letter(x.i, x.j, tuple(map(neg, x.a)))
+    y_inv = Letter(y.i, y.j, tuple(map(neg, y.a)))
+    return Word(ctx, (x, y, x_inv, y_inv))
 
 
 class DiagonalElement:
@@ -632,9 +661,8 @@ def exhaustive_relation_grid(ctx, kind, cap=256):
             continue
         for a in fam.component_elements(i, j):
             for b in fam.component_elements(*second):
-                ok = check_relation_instance(ctx, kind, i, j, k, l, a, b).ok
                 checked += 1
-                bad += not ok
+                bad += not _relation_holds(ctx, kind, i, j, k, l, a, b)
     return {"checked": checked, "violations": bad, "tuples_skipped": skipped}
 
 
@@ -664,16 +692,7 @@ def sample_relations(ctx, rng, kinds, samples, fault=None):
             i, j, k, l = random_relation_indices(fam, rng, kind)
             a = fam.sample_component(i, j, rng)
             b = fam.sample_component(*_second_component(kind, i, j, k, l), rng)
-            if kind == "St3" and fault is not None:
-                lhs = commutator(gen(ctx, i, j, a), gen(ctx, j, k, b))
-                if fault == "st3-zero":
-                    rhs = Word(ctx)
-                else:
-                    rhs = gen(ctx, i, k, fam.block_mul(a, i, j, b, k))
-                ok = st_eval(lhs) == st_eval(rhs)
-            else:
-                ok = check_relation_instance(ctx, kind, i, j, k, l, a, b).ok
-            bad += not ok
+            bad += not _relation_holds(ctx, kind, i, j, k, l, a, b, fault)
         out[kind] = {"checked": samples, "violations": bad}
     return out
 

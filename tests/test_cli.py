@@ -478,10 +478,50 @@ BLOCK_FAMILY_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(BLOCK_FAMILY_GOLDEN))
-def test_block_family_reports_match_their_golden_sha256(tmp_path, capsys, name):
-    argv, config, want = BLOCK_FAMILY_GOLDEN[name]
+def assert_golden(tmp_path, capsys, argv, config, want):
     cfg = write_config(tmp_path, "golden.json", config)
     code, out, _ = run_main(capsys, [argv[0], "--config", cfg] + argv[1:])
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_FAMILY_GOLDEN))
+def test_block_family_reports_match_their_golden_sha256(tmp_path, capsys, name):
+    assert_golden(tmp_path, capsys, *BLOCK_FAMILY_GOLDEN[name])
+
+
+def _units_tower(base, scale):
+    return {
+        "ring": {"kind": "Mat", "size": 4, "base": base},
+        "family": "units",
+        "system": "homotope",
+        "scale": scale,
+        "k_max": 3,
+        "samples": 200,
+        "seed": 0,
+    }
+
+
+# Report sha256s of tower runs whose localized scalars differ from the
+# pinned benchmark workload's Z/3 (M(4, Z/12) at s = 2): a field, Z/4 and
+# the zero ring.  Each actor's conjugation on the GL side is checked there.
+TOWER_GOLDEN = {
+    "M4-GF4-s[0,1]": (
+        _units_tower({"kind": "GF", "p": 2, "f": [1, 1, 1]}, [0, 1]),
+        "a44a680186b637da9191a7d91d032a9dc69826f891083b7c9d2a6c1fe24a960c",
+    ),
+    "M4-Z12-s3": (
+        _units_tower({"kind": "Zmod", "m": 12}, 3),
+        "ebfc189f673b19688aabd80403a420b561ce54ed67c3d52bc7c9120be85e65dc",
+    ),
+    "M4-Z8-s2": (
+        _units_tower({"kind": "Zmod", "m": 8}, 2),
+        "dc6f7f09049ca43720fc31530a0eab5aa937c6202f08ba204d77caf61bac85be",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOWER_GOLDEN))
+def test_tower_reports_match_their_golden_sha256(tmp_path, capsys, name):
+    config, want = TOWER_GOLDEN[name]
+    assert_golden(tmp_path, capsys, ["tower"], config, want)

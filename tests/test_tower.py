@@ -3,6 +3,7 @@ import random
 import pytest
 
 from sforge import (
+    GF,
     DiagActor,
     HomotopeTower,
     IdempotentFamily,
@@ -14,6 +15,7 @@ from sforge import (
     RankTooSmall,
     RootActor,
     ScaledOperator,
+    SforgeError,
     Zmod,
     actor_relation_suite,
     ad_equivariance_check,
@@ -151,6 +153,11 @@ def test_premorphism_budget_exhaustion_is_inconclusive():
     assert premorphism_equiv(t, f, g, list(R.elements()), budget=5).status == "equivalent"
 
 
+def test_localization_needs_a_matrix_algebra():
+    with pytest.raises(SforgeError):
+        _scalar_tower(12, 2).localized()
+
+
 def test_localized_transfer_maps(tower, rng):
     loc = tower.localized()
     assert loc.warning is None
@@ -180,13 +187,17 @@ def test_gamma_turns_circle_into_product(tower, rng):
 
 def test_identity_actor_fixes_words(tower, rng):
     fam = tower.family
-    d = DiagActor(tower, 2, fam.idempotent(2), 0)
+    d = DiagActor(tower, 2, fam.project(fam.idempotent(2), 2, 2), 0)
     for _ in range(30):
         w = random_word(tower.context(3), rng, 3)
         assert tower_ad(tower, d, w) == w
 
 
-def test_equivariance_scan_all_levels(tower, rng):
+def _refuse(*args):
+    raise AssertionError("dense n x n inverse or product")
+
+
+def test_equivariance_scan_all_levels(tower, rng, monkeypatch):
     from sforge.tower import _random_actor
 
     checked = 0
@@ -197,11 +208,75 @@ def test_equivariance_scan_all_levels(tower, rng):
         if actor is None:
             continue
         w = random_word(tower.context(k_out + den), rng, rng.randrange(1, 4))
-        holds, out = ad_equivariance_check(tower, actor, w)
+        # both sides are compared without an n x n inverse or product
+        with monkeypatch.context() as mp:
+            mp.setattr(MatrixAlgebra, "inv", _refuse)
+            mp.setattr(MatrixAlgebra, "mul", _refuse)
+            holds, out = ad_equivariance_check(tower, actor, w)
         assert holds
         assert out.context.level == k_out
         checked += 1
     assert checked > 400
+
+
+def _dense_conj(tower, actor, x):
+    """The dense reference for LocalizedTower.conj: the actor's n x n
+    image g over the localized scalars, inverted by MatrixAlgebra.inv,
+    and g x g^-1 as two n x n products."""
+    loc = tower.localized()
+    alg = loc.algebra
+    j = actor.j if isinstance(actor, RootActor) else actor.i
+    psi = loc.scalar_loc.psi
+    num = tuple(tuple(map(psi, row)) for row in tower.family.to_matrix(actor.block, actor.i, j))
+    scaled = alg.scalar_mul(loc.s_pow_inv(actor.den), num)
+    if isinstance(actor, RootActor):
+        g = alg.add(alg.one, scaled)
+    else:
+        g = alg.add(alg.sub(alg.one, loc.family.idempotent(actor.i)), scaled)
+    return alg.mul(g, alg.mul(x, alg.inv(g)))
+
+
+CONJ_CASES = {
+    "M4-Z12-s2": (Zmod(12), 4, None, 2),  # localizes to Z/3
+    "M4-Z12-s3": (Zmod(12), 4, None, 3),  # localizes to Z/4
+    "M4-Z8-s2": (Zmod(8), 4, None, 2),  # localizes to the zero ring
+    "M4-GF4-s[0,1]": (GF(2, [1, 1, 1]), 4, None, (0, 1)),
+    "M5-Z6-[[0],[1],[2,4],[3]]-s2": (Zmod(6), 5, [[0], [1], [2, 4], [3]], 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONJ_CASES))
+def test_conj_matches_the_dense_reference(name, monkeypatch):
+    """conj on block values agrees with the dense conjugation by the
+    inverted n x n image, for every diagonal and root actor over the whole
+    value grid of its component, at denominators 0, 1 and 2, on a sampled
+    x; conj itself inverts and multiplies no n x n matrix."""
+    base, n, blocks, s = CONJ_CASES[name]
+    A = MatrixAlgebra(base, n)
+    fam = IdempotentFamily.matrix_units(A) if blocks is None else IdempotentFamily(A, blocks)
+    tower = HomotopeTower(A, s, k_max=4, family=fam)
+    loc = tower.localized()
+    actors = []
+    for den in range(3):
+        for i in fam.labels():
+            for a in fam.component_elements(i, i):
+                try:
+                    actors.append(DiagActor(tower, i, a, den))
+                except NonInvertibleComponent:
+                    pass
+            for j in fam.labels():
+                if j != i:
+                    actors.extend(RootActor(tower, i, j, a, den) for a in fam.component_elements(i, j))
+    rng = random.Random(len(actors))
+    xs = [random_element(loc.algebra, rng) for _ in actors]
+    with monkeypatch.context() as mp:
+        mp.setattr(MatrixAlgebra, "inv", _refuse)
+        mp.setattr(MatrixAlgebra, "mul", _refuse)
+        got = [loc.conj(actor, x) for actor, x in zip(actors, xs)]
+    for actor, x, y in zip(actors, xs, got):
+        assert y == _dense_conj(tower, actor, x), actor
+    kinds = {type(actor) for actor in actors}
+    assert kinds == {DiagActor, RootActor}
 
 
 def test_actor_validation():
@@ -211,17 +286,20 @@ def test_actor_validation():
     with pytest.raises(RankTooSmall):
         RootActor(t3, 1, 2, f3.sample_component(1, 2, random.Random(0)), 0)
     # 3 dies in the localization at 2 of Z/12, so d_i(3) has no inverse there
-    bad = A3.scalar_mul(A3.base.element(3), f3.idempotent(1))
     with pytest.raises(NonInvertibleComponent):
-        DiagActor(t3, 1, bad, 0)
+        DiagActor(t3, 1, (3,), 0)
+    # a numerator with more values than the corner has cells is refused
+    with pytest.raises(NonInvertibleComponent):
+        DiagActor(t3, 1, (1, 0), 0)
     # 2 becomes a unit after localization even though it is not one mod 12
-    ok = A3.scalar_mul(A3.base.element(2), f3.idempotent(1))
-    assert DiagActor(t3, 1, ok, 0).i == 1
+    ok = DiagActor(t3, 1, (2,), 0)
+    assert ok.i == 1
+    assert A3.base.mul(2, ok.inv_block[0]) % 3 == 1
 
 
 def test_actor_denominator_needs_level_headroom(tower, rng):
     fam = tower.family
-    actor = RootActor(tower, 1, 2, fam.to_matrix(fam.sample_component(1, 2, rng), 1, 2), 1)
+    actor = RootActor(tower, 1, 2, fam.sample_component(1, 2, rng), 1)
     w = random_word(tower.context(0), rng, 2)
     with pytest.raises(LevelBudgetExceeded):
         tower_ad(tower, actor, w)
@@ -290,6 +368,22 @@ def test_actor_relation_suite_clean(tower, rng):
     ):
         assert name in report["cases"], name
         assert report["cases"][name]["violations"] == 0
+
+
+def test_nilpotent_scale_probe_makes_no_product(monkeypatch):
+    """With s^stable_exponent = 0 every inequivalence probe s^e (a - b) c
+    is zero, so the probe skips every corner pair of the whole 256-element
+    corner without an n x n product, and finds no inequivalent pair."""
+    from sforge.tower import _inequivalent_pair
+
+    A = MatrixAlgebra(Zmod(4), 4)
+    fam = IdempotentFamily(A, [[0, 1], [2, 3]])
+    t = HomotopeTower(A, 2, k_max=2, family=fam)
+    assert t.scale(t.stable_exponent()) == 0
+    corner = [fam.to_matrix(a, 1, 1) for a in fam.component_elements(1, 1)]
+    carrier = [fam.to_matrix(a, 1, 2) for a in fam.component_elements(1, 2)]
+    monkeypatch.setattr(MatrixAlgebra, "mul", _refuse)
+    assert not _inequivalent_pair(t, corner, carrier)
 
 
 def test_scaled_operator_suite_budgets(tower, rng):

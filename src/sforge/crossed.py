@@ -104,8 +104,8 @@ def ad_commutator_path(action, g, i, k, c, j=None):
     return out
 
 
-def _conj(alg, g, m):
-    return alg.mul(g, alg.mul(m, alg.inv(g)))
+def _conj(alg, g, g_inv, m):
+    return alg.mul(g, alg.mul(m, g_inv))
 
 
 class _AxiomTally:
@@ -159,11 +159,12 @@ def crossed_module_verify(fam, rng, samples=200, fault=None, word_length=2):
     labels = list(fam.labels())
     for _ in range(samples):
         g = sample_gl(alg, rng)
+        g_inv = alg.inv(g)
         w = random_word(ctx, rng, word_length)
         h = random_word(ctx, rng, word_length)
 
         out = action.apply(g, w)
-        target = _conj(alg, g, st_eval(w))
+        target = _conj(alg, g, g_inv, st_eval(w))
         tallies["cm1_equivariance"].record(
             st_eval(out) == target, witness=alg.element_to_json(g)
         )
@@ -201,7 +202,7 @@ def crossed_module_verify(fam, rng, samples=200, fault=None, word_length=2):
             )
 
         tallies["cm5_normality"].record(
-            st_eval(direct) == _conj(alg, g, st_eval(letter)),
+            st_eval(direct) == _conj(alg, g, g_inv, st_eval(letter)),
             witness=[i, k],
         )
     axioms = {name: t.to_json() for name, t in tallies.items()}

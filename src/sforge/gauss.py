@@ -3,14 +3,22 @@ finite semi-local instances, and lifting of invertible elements through
 the Steinberg word group.
 
 The two-block step follows the classical pivot argument: choose a in
-R_IJ so that the J-corner of g(1 + a) is invertible (per residue field,
-greedy column fixing, then a CRT lift), clear the lower block, and read
-off the three unipotent payloads and the diagonal.  Larger families
-recurse on the first block versus the rest; the out-of-order unipotent
-pieces are pulled through the recursion using the fact that the first
-row and first column generate abelian subgroups normalized by everything
-supported on the remaining blocks, where normal forms can be read off
-the st image exactly.
+R_tJ, J the labels after t, so that the J-corner of g(1 + a) is
+invertible (per residue field, greedy column fixing, then a CRT lift),
+clear the lower block, and read off the three unipotent payloads and the
+diagonal.  It works on block values: g is read once as its four blocks
+g_tt, g_tJ, g_Jt and g_JJ, every product is IdempotentFamily.block_mul,
+and the two inverses are corner inverses of R_tt and R_JJ.
+
+Larger families recurse on the first block versus the rest, and the two
+out-of-order pieces are moved through the recursion.  W = st(v+ v- v+')
+and V = st(v+), the words of the recursion, are the identity on block t,
+so W^-1 (1 + x) W = 1 + x W_JJ for the row piece x in R_tJ and
+V^-1 (1 + y) V = 1 + V^-1_JJ y for the column piece y in R_Jt: one st
+image and one block product per nonempty piece.  The row and column
+letters are the per-label cells of x and y.  No n x n matrix is
+multiplied, added or inverted until the final check multiplies the
+factorization back.
 """
 
 from __future__ import annotations
@@ -103,11 +111,11 @@ def _field_pivot_cells(F, M, rowsP, colsT):
     return cells
 
 
-def _pivot(fam, g, t, Jlabels):
-    """An element a of R_tJ with the J-corner of g(1 + a) invertible."""
-    alg = fam.algebra
-    base = alg.base
-    rowsP = sorted(p for j in Jlabels for p in fam.support(j))
+def _pivot(fam, g, t, J):
+    """The block values of an a in R_tJ with the J-corner of g(1 + a)
+    invertible."""
+    base = fam.algebra.base
+    rowsP = sorted(p for j in J for p in fam.support(j))
     colsT = list(fam.support(t))
     chosen = {}
     for field, proj in base.residue_fields():
@@ -115,115 +123,114 @@ def _pivot(fam, g, t, Jlabels):
         for cell in _field_pivot_cells(field, M, rowsP, colsT):
             chosen.setdefault(cell, []).append(field)
     fields = [f for f, _ in base.residue_fields()]
-    rows = [list(row) for row in alg.zero]
-    for (w, c), fixed_in in chosen.items():
-        vals = [field.one if field in fixed_in else field.zero for field in fields]
-        rows[w][c] = base.combine_residues(vals)
-    return tuple(tuple(row) for row in rows)
-
-
-def _sum_idem(fam, labels):
-    alg = fam.algebra
-    acc = alg.zero
-    for t in labels:
-        acc = alg.add(acc, fam.idempotent(t))
-    return acc
-
-
-def _row_letters(fam, t, Jlabels, x):
-    """The nonzero letters x_tj(e_t x e_j), j in J, of the matrix x."""
     out = []
-    for j in Jlabels:
-        v = fam.project(x, t, j)
+    for cell in fam.cells(t, J):
+        fixed_in = chosen.get(cell)
+        if fixed_in is None:
+            out.append(base.zero)
+        else:
+            vals = [field.one if field in fixed_in else field.zero for field in fields]
+            out.append(base.combine_residues(vals))
+    return tuple(out)
+
+
+def _add(fam, a, b):
+    add = fam.algebra.base.add
+    return tuple([add(x, y) for x, y in zip(a, b)])
+
+
+def _neg(fam, a):
+    return tuple(map(fam.algebra.base.neg, a))
+
+
+def _row_letters(fam, t, J, x):
+    """The nonzero letters x_tj(e_t x e_j), j in J, of x in R_tJ."""
+    out = []
+    for j in J:
+        v = fam.restrict(x, t, J, t, j)
         if not fam.is_zero(v):
             out.append(Letter(t, j, v))
     return out
 
 
-def _col_letters(fam, t, Jlabels, y):
-    """The nonzero letters x_jt(e_j y e_t), j in J, of the matrix y."""
+def _col_letters(fam, t, J, y):
+    """The nonzero letters x_jt(e_j y e_t), j in J, of y in R_Jt."""
     out = []
-    for j in Jlabels:
-        v = fam.project(y, j, t)
+    for j in J:
+        v = fam.restrict(y, J, t, j, t)
         if not fam.is_zero(v):
             out.append(Letter(j, t, v))
     return out
 
 
-def _cut(fam, m, I, J):
-    """e_I m e_J as an n x n matrix, for the dense block products below."""
-    return fam.to_matrix(fam.project(m, I, J), I, J)
+def _with_block(fam, m, v, I):
+    """The matrix m with the block values v of R_II written into its cells."""
+    out = [list(row) for row in m]
+    for (r, c), x in zip(fam.cells(I, I), v):
+        out[r][c] = x
+    return tuple(map(tuple, out))
 
 
-def _block_step(fam, g, t, Jlabels):
-    """One two-block elimination of row/column t against the blocks in J.
+def _block_step(fam, g, t, J):
+    """One two-block elimination of block t against the labels J.
 
-    Returns (upper letters, lower letters, second upper letters, corner u,
-    remainder) where remainder is identity outside the J blocks and
-    g = st(upper) st(lower) st(upper2) (u + remainder - e_J ...) holds as
-    the usual triangular bookkeeping verified by the caller's final check.
+    Returns the block values (c, lower, upper2, u, delta): c and upper2
+    in R_tJ, lower in R_Jt, u in R_tt and delta in R_JJ, with
+    g = (1 + c)(1 + lower)(1 + upper2)(u + delta + 1 - e_t - e_J).
+    Every product is a block product: g(1 + a) changes only the J
+    columns of g, and the other factors sit in one block each.
     """
-    alg = fam.algebra
-    eJ = _sum_idem(fam, Jlabels)
-    comp = alg.sub(alg.one, eJ)
-    a = _pivot(fam, g, t, Jlabels)
-    g1 = alg.mul(g, alg.add(alg.one, a))
-    delta = fam.project(g1, Jlabels, Jlabels)
+    mul = fam.block_mul
+    a = _pivot(fam, g, t, J)
+    g_tt = fam.project(g, t, t)
+    g_Jt = fam.project(g, J, t)
+    g1_tJ = _add(fam, fam.project(g, t, J), mul(g_tt, t, t, a, J))
+    delta = _add(fam, fam.project(g, J, J), mul(g_Jt, J, t, a, J))
     try:
-        delta_inv = fam.to_matrix(fam.corner_inv(delta, Jlabels), Jlabels, Jlabels)
+        delta_inv = fam.corner_inv(delta, J)
     except NotInvertible:
         raise PivotSearchFailed("pivot did not make the corner invertible") from None
-    delta = fam.to_matrix(delta, Jlabels, Jlabels)
-    delta_full = alg.add(delta, comp)
-    gamma_JI = _cut(fam, g1, Jlabels, t)
-    gamma_IJ = _cut(fam, g1, t, Jlabels)
-    b = alg.neg(alg.mul(delta_inv, gamma_JI))
-    u = fam.project(alg.mul(g1, alg.add(alg.one, b)), t, t)
+    b = _neg(fam, mul(delta_inv, J, J, g_Jt, t))
+    u = _add(fam, g_tt, mul(g1_tJ, t, J, b, t))
     try:
-        u_inv = fam.to_matrix(fam.corner_inv(u, t), t, t)
+        u_inv = fam.corner_inv(u, t)
     except NotInvertible:
         raise PivotSearchFailed("leading corner not invertible after clearing") from None
-    u = fam.to_matrix(u, t, t)
-    c = alg.mul(gamma_IJ, delta_inv)
-    upper2 = alg.neg(alg.mul(u, alg.mul(a, delta_inv)))
-    lower = alg.neg(alg.mul(delta, alg.mul(b, u_inv)))
-    return (
-        _row_letters(fam, t, Jlabels, c),
-        _col_letters(fam, t, Jlabels, lower),
-        _row_letters(fam, t, Jlabels, upper2),
-        u,
-        delta_full,
-    )
+    c = mul(g1_tJ, t, J, delta_inv, J)
+    upper2 = _neg(fam, mul(mul(u, t, t, a, J), t, J, delta_inv, J))
+    lower = _neg(fam, mul(mul(delta, J, J, b, t), J, t, u_inv, t))
+    return c, lower, upper2, u, delta
 
 
 def _decompose_rec(fam, g, t):
-    alg = fam.algebra
+    """(w+ letters, w- letters, w+' letters, block values of d_t, ..., d_n)
+    for g, which is the identity outside the blocks t, ..., n."""
     n = fam.n
     if t == n:
-        return [], [], [], {n: _cut(fam, g, n, n)}
-    Jlabels = tuple(j for j in fam.labels() if j > t)
-    t_plus, t_minus, t_plus2, u, delta_full = _block_step(fam, g, t, Jlabels)
-    v_plus, v_minus, v_plus2, dcomp = _decompose_rec(fam, delta_full, t + 1)
-    # pull the stray pieces through the recursion inside the row-t and
-    # column-t subgroups, where st determines the word; st(w)^-1 is
-    # st(w.inverse()), so no matrix is inverted here
+        return [], [], [], [fam.project(g, n, n)]
+    J = tuple(range(t + 1, n + 1))
+    c, lower, upper2, u, delta = _block_step(fam, g, t, J)
+    v_plus, v_minus, v_plus2, d = _decompose_rec(
+        fam, _with_block(fam, fam.algebra.one, delta, J), t + 1
+    )
+    # move the stray pieces through the recursion: W = st(v+ v- v+') and
+    # V = st(v+) are the identity on block t, so W^-1 (1 + x) W = 1 + x W_JJ
+    # for x in R_tJ and V^-1 (1 + y) V = 1 + V^-1_JJ y for y in R_Jt
     ctx = Context(fam)
-    w_vp = Word(ctx, v_plus)
-    w_all = Word(ctx, v_plus + v_minus + v_plus2)
-    conj2 = alg.mul(
-        st_eval(w_all.inverse()), alg.mul(st_eval(Word(ctx, t_plus2)), st_eval(w_all))
-    )
-    t_plus2_moved = _row_letters(fam, t, Jlabels, conj2)
-    conjm = alg.mul(
-        st_eval(w_vp.inverse()), alg.mul(st_eval(Word(ctx, t_minus)), st_eval(w_vp))
-    )
-    t_minus_moved = _col_letters(fam, t, Jlabels, conjm)
-    dcomp[t] = u
+    mul = fam.block_mul
+    moved_plus2 = []
+    if not fam.is_zero(upper2):
+        W = fam.project(st_eval(Word(ctx, v_plus + v_minus + v_plus2)), J, J)
+        moved_plus2 = _row_letters(fam, t, J, mul(upper2, t, J, W, J))
+    moved_minus = []
+    if not fam.is_zero(lower):
+        V_inv = fam.project(st_eval(Word(ctx, v_plus).inverse()), J, J)
+        moved_minus = _col_letters(fam, t, J, mul(V_inv, J, J, lower, t))
     return (
-        t_plus + v_plus,
-        t_minus_moved + v_minus,
-        v_plus2 + t_plus2_moved,
-        dcomp,
+        _row_letters(fam, t, J, c) + v_plus,
+        moved_minus + v_minus,
+        v_plus2 + moved_plus2,
+        [u] + d,
     )
 
 
@@ -237,12 +244,12 @@ def gauss_decompose(fam, g):
     if not alg.is_unit(g):
         raise NotInvertible("element is not invertible")
     ctx = Context(fam)
-    p1, m1, p2, dcomp = _decompose_rec(fam, g, 1)
+    p1, m1, p2, d = _decompose_rec(fam, g, 1)
     fac = GaussFactorization(
         Word(ctx, tuple(p1)),
         Word(ctx, tuple(m1)),
         Word(ctx, tuple(p2)),
-        DiagonalElement(fam, [dcomp[t] for t in fam.labels()]),
+        DiagonalElement(fam, [fam.to_matrix(v, t, t) for t, v in zip(fam.labels(), d)]),
     )
     if not fac.check(g):
         raise SforgeError("internal error: factorization failed verification")
@@ -323,17 +330,14 @@ def presentation_relation_check(fam, i, rng=None, samples=None, word_samples=0):
             skipped += 1
             continue
         checked += 1
-        t_plus, t_minus, t_plus2, u, delta_full = _block_step(fam, g, i, (j,))
-        pairs = [
-            (_first_payload(t_plus, zero_ij), _first_payload(t_minus, zero_ji)),
-            (_first_payload(t_plus2, zero_ij), zero_ji),
-            (zero_ij, zero_ji),
-        ]
+        # the cells of (i, (j,)) are those of (i, j), so the values pass as they are
+        c, lower, upper2, u, delta = _block_step(fam, g, i, (j,))
+        pairs = [(c, lower), (upper2, zero_ji), (zero_ij, zero_ji)]
         used = sum(1 for a, b in pairs if (a, b) != (zero_ij, zero_ji))
         max_pairs = max(max_pairs, used)
         letters = [L for a, b in pairs for L in (Letter(i, j, a), Letter(j, i, b))]
         m = st_eval(Word(ctx, letters))
-        dd = alg.add(alg.add(u, _cut(fam, delta_full, j, j)), alg.sub(alg.one, _sum_idem(fam, [i, j])))
+        dd = _with_block(fam, _with_block(fam, alg.one, delta, j), u, i)
         if alg.mul(m, dd) != g:
             violations.append(alg.element_to_json(g))
     if word_samples and rng is not None:
@@ -358,17 +362,10 @@ def presentation_relation_check(fam, i, rng=None, samples=None, word_samples=0):
     }
 
 
-def _first_payload(letters, zero):
-    if not letters:
-        return zero
-    if len(letters) != 1:
-        raise SforgeError("two-block step emitted more than one letter per slot")
-    return letters[0].a
-
-
 def _is_diagonal(fam, m):
-    alg = fam.algebra
-    acc = alg.zero
-    for t in fam.labels():
-        acc = alg.add(acc, _cut(fam, m, t, t))
-    return acc == m
+    return all(
+        fam.is_zero(fam.project(m, s, t))
+        for s in fam.labels()
+        for t in fam.labels()
+        if s != t
+    )

@@ -62,6 +62,8 @@ class IdempotentFamily:
         )
         self._witnesses = {}
         self._cells = {}
+        self._tuple_positions = {}
+        self._inner = {}
         self._corner_algebras = {}
 
     @classmethod
@@ -93,7 +95,11 @@ class IdempotentFamily:
 
     def _positions(self, labels):
         if isinstance(labels, tuple):
-            return sorted(p for t in labels for p in self.blocks[t - 1])
+            got = self._tuple_positions.get(labels)
+            if got is None:
+                got = tuple(sorted(p for t in labels for p in self.blocks[t - 1]))
+                self._tuple_positions[labels] = got
+            return got
         return self.blocks[labels - 1]
 
     def project(self, a, i, j):
@@ -109,6 +115,20 @@ class IdempotentFamily:
         for (r, c), v in zip(self.cells(i, j), a):
             out[r][c] = v
         return tuple(map(tuple, out))
+
+    def restrict(self, a, I, J, i, j):
+        """The block values of e_i a e_j, for block values a of R_IJ.
+
+        I and J are tuples of labels, or labels, with i in I and j in J.
+        Where each cell of (i, j) sits among the cells of (I, J) is found
+        on first use and cached.
+        """
+        got = self._inner.get((I, J, i, j))
+        if got is None:
+            at = {cell: t for t, cell in enumerate(self.cells(I, J))}
+            got = tuple(at[cell] for cell in self.cells(i, j))
+            self._inner[(I, J, i, j)] = got
+        return tuple([a[t] for t in got])
 
     def contains(self, a, i, j):
         """Is the n x n matrix a in R_ij, that is, zero off the cells of (i, j)?"""

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -5,10 +6,12 @@ import pytest
 
 from sforge import (
     GF,
+    Context,
     DiagonalElement,
     IdempotentFamily,
     MatrixAlgebra,
     NotInvertible,
+    Word,
     Zmod,
     enumerate_gl,
     gauss_decompose,
@@ -17,7 +20,8 @@ from sforge import (
     sample_gl,
     st_eval,
 )
-from sforge.words import support_sign
+from sforge.gauss import GaussFactorization, _pivot
+from sforge.words import Letter, support_sign
 
 
 def _pair_scan_unit_count(alg):
@@ -177,3 +181,169 @@ def test_factorization_json_is_reloadable(m4f3, rng):
     g = sample_gl(m4f3.algebra, rng)
     blob = gauss_decompose(m4f3, g).to_json()
     assert set(blob) == {"w_plus", "w_minus", "w_plus2", "d"}
+
+
+# The dense Gauss of earlier versions, kept as the oracle for the block-value
+# one: every block projection is cut back to an n x n matrix and multiplied
+# with MatrixAlgebra.mul, and the stray pieces are moved by conjugating
+# their st images.  It shares only the pivot choice with the library.
+
+
+def _dense_cut(fam, m, I, J):
+    return fam.to_matrix(fam.project(m, I, J), I, J)
+
+
+def _dense_row_letters(fam, t, J, x):
+    out = []
+    for j in J:
+        v = fam.project(x, t, j)
+        if not fam.is_zero(v):
+            out.append(Letter(t, j, v))
+    return out
+
+
+def _dense_col_letters(fam, t, J, y):
+    out = []
+    for j in J:
+        v = fam.project(y, j, t)
+        if not fam.is_zero(v):
+            out.append(Letter(j, t, v))
+    return out
+
+
+def _dense_block_step(fam, g, t, J):
+    alg = fam.algebra
+    eJ = alg.zero
+    for j in J:
+        eJ = alg.add(eJ, fam.idempotent(j))
+    a = fam.to_matrix(_pivot(fam, g, t, J), t, J)
+    g1 = alg.mul(g, alg.add(alg.one, a))
+    delta = fam.project(g1, J, J)
+    delta_inv = fam.to_matrix(fam.corner_inv(delta, J), J, J)
+    delta = fam.to_matrix(delta, J, J)
+    delta_full = alg.add(delta, alg.sub(alg.one, eJ))
+    b = alg.neg(alg.mul(delta_inv, _dense_cut(fam, g1, J, t)))
+    u = fam.project(alg.mul(g1, alg.add(alg.one, b)), t, t)
+    u_inv = fam.to_matrix(fam.corner_inv(u, t), t, t)
+    u = fam.to_matrix(u, t, t)
+    c = alg.mul(_dense_cut(fam, g1, t, J), delta_inv)
+    upper2 = alg.neg(alg.mul(u, alg.mul(a, delta_inv)))
+    lower = alg.neg(alg.mul(delta, alg.mul(b, u_inv)))
+    return (
+        _dense_row_letters(fam, t, J, c),
+        _dense_col_letters(fam, t, J, lower),
+        _dense_row_letters(fam, t, J, upper2),
+        u,
+        delta_full,
+    )
+
+
+def _dense_decompose_rec(fam, g, t):
+    alg = fam.algebra
+    n = fam.n
+    if t == n:
+        return [], [], [], {n: _dense_cut(fam, g, n, n)}
+    J = tuple(j for j in fam.labels() if j > t)
+    t_plus, t_minus, t_plus2, u, delta_full = _dense_block_step(fam, g, t, J)
+    v_plus, v_minus, v_plus2, dcomp = _dense_decompose_rec(fam, delta_full, t + 1)
+    ctx = Context(fam)
+    w_vp = Word(ctx, v_plus)
+    w_all = Word(ctx, v_plus + v_minus + v_plus2)
+    conj2 = alg.mul(
+        st_eval(w_all.inverse()), alg.mul(st_eval(Word(ctx, t_plus2)), st_eval(w_all))
+    )
+    conjm = alg.mul(
+        st_eval(w_vp.inverse()), alg.mul(st_eval(Word(ctx, t_minus)), st_eval(w_vp))
+    )
+    dcomp[t] = u
+    return (
+        t_plus + v_plus,
+        _dense_col_letters(fam, t, J, conjm) + v_minus,
+        v_plus2 + _dense_row_letters(fam, t, J, conj2),
+        dcomp,
+    )
+
+
+def _assert_matches_dense(fam, g):
+    p1, m1, p2, dcomp = _dense_decompose_rec(fam, g, 1)
+    fac = gauss_decompose(fam, g)
+    assert fac.w_plus.letters == tuple(p1)
+    assert fac.w_minus.letters == tuple(m1)
+    assert fac.w_plus2.letters == tuple(p2)
+    assert fac.d == DiagonalElement(fam, [dcomp[t] for t in fam.labels()])
+
+
+@pytest.mark.parametrize(
+    "base, n, count",
+    [(Zmod(4), 2, 96), (Zmod(2), 3, 168), (GF(2, [1, 1, 1]), 2, 180)],
+    ids=["GL2-Z4", "GL3-F2", "GL2-F4"],
+)
+def test_gauss_matches_the_dense_reference_exhaustively(base, n, count):
+    fam = IdempotentFamily.matrix_units(MatrixAlgebra(base, n))
+    seen = 0
+    for g in enumerate_gl(fam.algebra):
+        _assert_matches_dense(fam, g)
+        seen += 1
+    assert seen == count
+
+
+DENSE_SAMPLED = {
+    "M4-GF9-units": (GF(3, [1, 0, 1]), 4, None),
+    "M4-Z2-[[0,1],[2],[3]]": (Zmod(2), 4, [[0, 1], [2], [3]]),
+    "M5-Z4-[[0],[1,2],[3,4]]": (Zmod(4), 5, [[0], [1, 2], [3, 4]]),
+    "M6-Z4-[[0,1],[2,3],[4,5]]": (Zmod(4), 6, [[0, 1], [2, 3], [4, 5]]),
+    # block 2 sits on both sides of block 3, so J = (2, 3) interleaves
+    "M4-Z4-[[1],[0,3],[2]]": (Zmod(4), 4, [[1], [0, 3], [2]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_SAMPLED))
+def test_gauss_matches_the_dense_reference_on_samples(name):
+    base, n, blocks = DENSE_SAMPLED[name]
+    alg = MatrixAlgebra(base, n)
+    fam = IdempotentFamily.matrix_units(alg) if blocks is None else IdempotentFamily(alg, blocks)
+    rng = random.Random(name)
+    for _ in range(60):
+        _assert_matches_dense(fam, sample_gl(alg, rng))
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        IdempotentFamily.matrix_units(MatrixAlgebra(GF(3, [1, 0, 1]), 4)),
+        IdempotentFamily(MatrixAlgebra(Zmod(4), 6), [[0, 1], [2, 3], [4, 5]]),
+    ],
+    ids=["M4-GF9-units", "M6-Z4-[[0,1],[2,3],[4,5]]"],
+)
+def test_gauss_uses_dense_arithmetic_only_in_its_final_check(fam, monkeypatch):
+    alg = fam.algebra
+    rng = random.Random(3)
+    elements = [sample_gl(alg, rng) for _ in range(20)]
+    calls = collections.Counter()
+    in_check = []
+
+    def counted(name, original):
+        def wrapper(self, *args):
+            if self is alg:
+                calls[name, bool(in_check)] += 1
+            return original(self, *args)
+
+        return wrapper
+
+    for name in ("mul", "add", "inv"):
+        monkeypatch.setattr(MatrixAlgebra, name, counted(name, getattr(MatrixAlgebra, name)))
+    original_check = GaussFactorization.check
+
+    def check(self, g):
+        in_check.append(g)
+        try:
+            return original_check(self, g)
+        finally:
+            in_check.pop()
+
+    monkeypatch.setattr(GaussFactorization, "check", check)
+    for g in elements:
+        gauss_decompose(fam, g)
+    assert calls["mul", True] == len(elements)
+    assert calls["mul", False] == calls["add", False] == 0
+    assert calls["inv", False] == calls["inv", True] == 0

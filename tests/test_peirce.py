@@ -42,6 +42,22 @@ def test_projections_sum_to_identity_map(rng):
         assert total == m
 
 
+def test_restrict_reads_a_label_out_of_a_tuple_label(rng):
+    """Block values of R_IJ restricted to (i, j) agree with projecting
+    the matrix straight to (i, j), also when the blocks of J interleave."""
+    from sforge import random_element
+
+    A = MatrixAlgebra(Zmod(4), 5)
+    fam = IdempotentFamily(A, [[1], [0, 3], [2, 4]])
+    I, J = (1, 2), (2, 3)
+    for _ in range(20):
+        m = random_element(A, rng)
+        for i, j in itertools.product(I, J):
+            assert fam.restrict(fam.project(m, I, J), I, J, i, j) == fam.project(m, i, j)
+        for j in J:
+            assert fam.restrict(fam.project(m, 1, J), 1, J, 1, j) == fam.project(m, 1, j)
+
+
 def test_family_constructor_validates_partition():
     A = MatrixAlgebra(Zmod(2), 4)
     with pytest.raises(BadFamily):

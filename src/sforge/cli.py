@@ -50,6 +50,11 @@ _CONFIG_FIELDS = {
     "system",
 }
 
+# gauss --exhaustive unit-tests every one of the |A|^(n^2) matrices; M(4, Z/2),
+# at 2^16 of them, takes about 16 s on a 2-vCPU host, so larger rings are
+# refused before any work rather than left running for hours
+EXHAUSTIVE_GAUSS_MAX = 2 ** 16
+
 _FAULTS = {
     "relations": ("st3-zero",),
     "gauss": (),
@@ -210,6 +215,11 @@ def cmd_gauss(cfg, args):
             suites["element"] = {"error": str(exc), "reconstructed": False}
             violations += 1
     elif args.exhaustive:
+        if alg.size > EXHAUSTIVE_GAUSS_MAX:
+            raise ConfigError(
+                "gauss --exhaustive would enumerate |A|^(n^2) = %d^%d = %d matrices; "
+                "the bound is %d" % (alg.base.size, alg.n * alg.n, alg.size, EXHAUSTIVE_GAUSS_MAX)
+            )
         count = good = 0
         sample = None
         for g in enumerate_gl(alg):

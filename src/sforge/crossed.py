@@ -45,6 +45,7 @@ class CrossedModuleAction:
         self.context = Context(family)
         self.drop_diagonal = drop_diagonal
         self._lifts = {}
+        self._lift_inverses = {}
 
     def lift(self, g):
         got = self._lifts.get(g)
@@ -54,11 +55,24 @@ class CrossedModuleAction:
                 d = DiagonalElement.identity(self.family)
             got = (w, d)
             self._lifts[g] = got
+            self._lift_inverses[g] = w.inverse()
         return got
 
     def apply(self, g, w):
+        """Ad_g(w) = w_g (d acting on w) w_g^-1; w_g^-1 is cached with the lift."""
         wg, d = self.lift(g)
-        return wg * diag_act(d, w) * wg.inverse()
+        return wg * diag_act(d, w) * self._lift_inverses[g]
+
+    def invert_image(self, g, y):
+        """The inverse of y = apply(g, w): w_g (d acting on w)^-1 w_g^-1.
+
+        Only the middle of y is inverted; the cached w_g and w_g^-1 are
+        reused, so no whole Ad_g word is negated letter by letter.
+        """
+        wg, _ = self._lifts[g]
+        n = len(wg)
+        middle = Word(y.context, y.letters[n:len(y) - n])
+        return wg * middle.inverse() * self._lift_inverses[g]
 
 
 def y_lift(action, g, i, j, a, via_commutators=False):
@@ -83,7 +97,7 @@ def y_commutator(action, g, i, j, k, a, b, via_commutators=False):
         raise IndexClash("need three distinct block labels")
     y1 = y_lift(action, g, i, j, a, via_commutators=via_commutators)
     y2 = y_lift(action, g, j, k, b)
-    return commutator(y1, y2)
+    return commutator(y1, y2, action.invert_image(g, y1), action.invert_image(g, y2))
 
 
 def ad_commutator_path(action, g, i, k, c, j=None):

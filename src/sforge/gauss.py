@@ -72,6 +72,8 @@ def _field_pivot_cells(F, M, rowsP, colsT):
     Maintains an independent set of fixed columns; when the next target
     column is dependent some unused T-column must be independent (else the
     P-rows of M would not have full rank), and adding it fixes the target.
+    Only the entries M[r][c] with r in rowsP and c in rowsP or colsT are
+    read.
     """
     def column(c):
         return [M[r][c] for r in rowsP]
@@ -117,9 +119,11 @@ def _pivot(fam, g, t, J):
     base = fam.algebra.base
     rowsP = sorted(p for j in J for p in fam.support(j))
     colsT = list(fam.support(t))
+    read = rowsP + colsT
     chosen = {}
     for field, proj in base.residue_fields():
-        M = tuple(tuple(proj(x) for x in row) for row in g)
+        # only the entries _field_pivot_cells reads go into the field
+        M = {r: {c: proj(g[r][c]) for c in read} for r in rowsP}
         for cell in _field_pivot_cells(field, M, rowsP, colsT):
             chosen.setdefault(cell, []).append(field)
     fields = [f for f, _ in base.residue_fields()]

@@ -565,42 +565,65 @@ class MatrixAlgebra:
             out.append(tuple(orow))
         return tuple(out)
 
-    def add_column_multiples(self, cols, ops):
-        """Elementary column operations on a list of column lists, in place.
+    def add_column_multiples(self, cols, cells, values, scale=None):
+        """Right-multiply by a letter's 1 + a, on a list of columns, in place.
 
-        For each (k, c, v): column c += column k * v.  No k may also be a c,
-        so every operation reads columns the others leave unchanged.
+        cells and values are the letter's cells (k, c) and its block values:
+        for each nonzero value v, column c += column k * v.  No k may also
+        be a c, so every update reads columns the others leave unchanged.
+        With a scale s this is the homotope step acc -> s*acc*a + acc + a:
+        column c += column k * (s v), then v is added at (k, c).  Each
+        update builds a new column list, so the columns may start as tuples.
         """
         m = self._mod
         if m is not None:
-            for k, c, v in ops:
-                cols[c] = [(y + x * v) % m for x, y in zip(cols[k], cols[c])]
+            if scale is None:
+                for (k, c), v in zip(cells, values):
+                    if v:
+                        cols[c] = [(y + x * v) % m for x, y in zip(cols[k], cols[c])]
+                return
+            for (k, c), v in zip(cells, values):
+                if v:
+                    sv = scale * v % m
+                    col = [(y + x * sv) % m for x, y in zip(cols[k], cols[c])]
+                    col[k] = (col[k] + v) % m
+                    cols[c] = col
             return
         base = self.base
         zero = base.zero
-        for k, c, v in ops:
-            cols[c] = [
-                y if x == zero else base.add(y, base.mul(x, v))
+        add, mul = base.add, base.mul
+        for (k, c), v in zip(cells, values):
+            if v == zero:
+                continue
+            sv = v if scale is None else base.scalar_mul(scale, v)
+            col = [
+                y if x == zero else add(y, mul(x, sv))
                 for x, y in zip(cols[k], cols[c])
             ]
+            if scale is not None:
+                col[k] = add(col[k], v)
+            cols[c] = col
 
-    def add_row_multiples(self, rows, ops):
-        """Elementary row operations on a list of row lists, in place.
+    def add_row_multiples(self, rows, cells, values):
+        """Left-multiply by a letter's 1 + a, on a list of row lists, in place.
 
-        For each (r, c, v): row r += v * row c.  No r may also be a c.
+        For each cell (r, c) with a nonzero value v: row r += v * row c.
+        No r may also be a c.
         """
         m = self._mod
         if m is not None:
-            for r, c, v in ops:
-                rows[r] = [(x + v * y) % m for x, y in zip(rows[r], rows[c])]
+            for (r, c), v in zip(cells, values):
+                if v:
+                    rows[r] = [(x + v * y) % m for x, y in zip(rows[r], rows[c])]
             return
         base = self.base
         zero = base.zero
-        for r, c, v in ops:
-            rows[r] = [
-                x if y == zero else base.add(x, base.mul(v, y))
-                for x, y in zip(rows[r], rows[c])
-            ]
+        for (r, c), v in zip(cells, values):
+            if v != zero:
+                rows[r] = [
+                    x if y == zero else base.add(x, base.mul(v, y))
+                    for x, y in zip(rows[r], rows[c])
+                ]
 
     def elements(self):
         base_all = list(self.base.elements())

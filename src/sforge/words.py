@@ -5,11 +5,19 @@ component R_ij of the family.  A letter's payload a is its block values:
 the tuple of its |block i| * |block j| entries at fam.cells(i, j), row by
 row, never an n x n matrix.  Letters are evaluated, inverted, conjugated
 and multiplied on those values; matrices appear only as st images, as
-diagonal elements, and on the wire.  The JSON wire format is unchanged:
-a letter's "a" is still its n x n matrix, and word_from_json refuses one
-with a nonzero entry off R_ij.  Formal inverses are normalized away on
-input: x_ij(a)^{-1} = x_ij(-a) holds in every context, so letters carry
-no exponent internally (the wire format still accepts "e": +-1).
+diagonal elements, and on the wire.  st_eval hands each letter's cells
+and block values to MatrixAlgebra.add_column_multiples in sforge.rings,
+the one column update for the plain product and the homotope fold.
+The relation checks build an instance's two sides through one path,
+_relation_sides, from validated letters paired with their negations;
+the exhaustive grid builds each component element's letter once per
+index tuple and checks the tuple's side conditions once.
+
+The JSON wire format is unchanged: a letter's "a" is still its n x n
+matrix, and word_from_json refuses one with a nonzero entry off R_ij.
+Formal inverses are normalized away on input: x_ij(a)^{-1} = x_ij(-a)
+holds in every context, so letters carry no exponent internally (the
+wire format still accepts "e": +-1).
 
 Contexts:
 
@@ -174,10 +182,18 @@ def word(ctx, items):
     return out
 
 
-def commutator(w1, w2):
-    """The word w1 w2 w1^-1 w2^-1."""
+def commutator(w1, w2, w1_inv=None, w2_inv=None):
+    """The word w1 w2 w1^-1 w2^-1.
+
+    A caller that already holds w1^-1 or w2^-1 passes it, and that word
+    is not inverted again.
+    """
     w = w1 * w2
-    return Word(w.context, w.letters + w1.inverse().letters + w2.inverse().letters)
+    if w1_inv is None:
+        w1_inv = w1.inverse()
+    if w2_inv is None:
+        w2_inv = w2.inverse()
+    return Word(w.context, w.letters + w1_inv.letters + w2_inv.letters)
 
 
 def st_eval(w):
@@ -192,26 +208,20 @@ def st_eval(w):
     disjoint.  So m(1 + a) = m + ma changes only the block-j columns, by
     m[:, c] += sum over k in block i of m[:, k] a[k][c]; the homotope step
     s*acc*a + acc + a is the same update scaled by s, plus a on its cells.
-    A letter costs O(n |block i| |block j|) ring operations, not the
-    O(n^3) of a matrix product.
+    MatrixAlgebra.add_column_multiples is that column update, taking the
+    letter's cells and block values as they are: a letter costs
+    O(n |block i| |block j|) ring operations, not the O(n^3) of a matrix
+    product.
     """
     fam = w.context.family
     alg = fam.algebra
-    base = alg.base
-    zero = base.zero
     s = w.context.scale
-    # columns of the running value; one and zero are their own transposes
-    cols = [list(col) for col in (alg.one if s is None else alg.zero)]
+    # one and zero are symmetric, so their row tuples are also their columns
+    cols = list(alg.one if s is None else alg.zero)
     cells = fam.cells
+    update = alg.add_column_multiples
     for L in w.letters:
-        ops = [(r, c, v) for (r, c), v in zip(cells(L.i, L.j), L.a) if v != zero]
-        if s is None:
-            alg.add_column_multiples(cols, ops)
-        else:
-            scaled = [(k, c, base.scalar_mul(s, v)) for k, c, v in ops]
-            alg.add_column_multiples(cols, scaled)
-            for k, c, v in ops:
-                cols[c][k] = base.add(cols[c][k], v)
+        update(cols, cells(L.i, L.j), L.a, s)
     return tuple(zip(*cols))
 
 
@@ -288,16 +298,14 @@ def u_normal_form(w):
     if sign == 0:
         return Word(w.context)
     neg = alg.base.neg
-    zero = alg.base.zero
-    rows = [list(row) for row in st_eval(w)]
+    rows = list(st_eval(w))
     out = []
     for (i, j) in _position_order(fam, sign):
         a = fam.project(rows, i, j)
         if not fam.is_zero(a):
             out.append(Letter(i, j, a))
             # (1 - a) * residual: a row update on the block-i rows
-            ops = [(r, c, neg(v)) for (r, c), v in zip(fam.cells(i, j), a) if v != zero]
-            alg.add_row_multiples(rows, ops)
+            alg.add_row_multiples(rows, fam.cells(i, j), map(neg, a))
     if tuple(map(tuple, rows)) != alg.one:
         raise SforgeError("unipotent extraction failed; support was not unipotent")
     return Word(w.context, tuple(out))
@@ -345,55 +353,60 @@ def check_relation_instance(ctx, kind, i, j, k=None, l=None, a=None, b=None):
     two normal forms, which are functions of the st images.  Otherwise
     the grade is "st".
     """
-    lhs, rhs = _relation_sides(ctx, kind, i, j, k, l, a, b)
+    lhs, rhs = _instance_sides(ctx, kind, i, j, k, l, a, b)
     ok = st_eval(lhs) == st_eval(rhs)
     oracle = "st+normal-form" if ok and _common_support(lhs, rhs) else "st"
     return RelationCheck(ok, oracle, kind)
 
 
-def _relation_holds(ctx, kind, i, j, k, l, a, b, fault=None):
-    """Do the st images of the two sides agree?  The samplers read only
-    this, so no grade is computed for them."""
-    lhs, rhs = _relation_sides(ctx, kind, i, j, k, l, a, b, fault)
-    return st_eval(lhs) == st_eval(rhs)
-
-
-def _relation_sides(ctx, kind, i, j, k, l, a, b, fault=None):
-    """(left word, right word) of one relation instance, each built once
-    from its letters.  fault corrupts the (St3) right side, as
-    sample_relations describes."""
-    fam = ctx.family
-    base = fam.algebra.base
-    if kind == "St1":
-        if a is None or b is None:
-            raise SideConditionViolated("St1 needs two payloads")
-        x, y = _letter(fam, i, j, a), _letter(fam, i, j, b)
-        return Word(ctx, (x, y)), Word(ctx, (Letter(i, j, tuple(map(base.add, x.a, y.a))),))
+def _check_side_conditions(kind, i, j, k, l):
+    """Raise unless (i, j, k, l) meets the side conditions of the relation."""
     if kind == "St2":
         if j == k or i == l:
             raise SideConditionViolated("St2 requires j != k and i != l")
-        x, y = _letter(fam, i, j, a), _letter(fam, k, l, b)
-        return _commutator_word(ctx, x, y), Word(ctx)
-    if kind == "St3":
+    elif kind == "St3":
         if i == k:
             raise SideConditionViolated("St3 requires distinct outer indices")
-        x, y = _letter(fam, i, j, a), _letter(fam, j, k, b)
-        lhs = _commutator_word(ctx, x, y)
-        if fault == "st3-zero":
-            return lhs, Word(ctx)
-        c = fam.block_mul(x.a, i, j, y.a, k)
-        if ctx.scale is not None and fault != "drop-scale":
-            c = tuple([base.scalar_mul(ctx.scale, v) for v in c])
-        return lhs, Word(ctx, (Letter(i, k, c),))
-    raise ValueError("unknown relation %r" % (kind,))
+    elif kind != "St1":
+        raise ValueError("unknown relation %r" % (kind,))
 
 
-def _commutator_word(ctx, x, y):
-    """The word of [x, y] = x y x^-1 y^-1 for two letters."""
-    neg = ctx.algebra.base.neg
-    x_inv = Letter(x.i, x.j, tuple(map(neg, x.a)))
-    y_inv = Letter(y.i, y.j, tuple(map(neg, y.a)))
-    return Word(ctx, (x, y, x_inv, y_inv))
+def _signed_letter(fam, i, j, a):
+    """(x_ij(a), x_ij(-a)), validated as gen() validates x_ij(a)."""
+    x = _letter(fam, i, j, a)
+    return x, Letter(i, j, tuple(map(fam.algebra.base.neg, x.a)))
+
+
+def _instance_sides(ctx, kind, i, j, k, l, a, b, fault=None):
+    """The two words of one relation instance, from its indices and block
+    values, after checking its side conditions."""
+    _check_side_conditions(kind, i, j, k, l)
+    if a is None or b is None:
+        raise SideConditionViolated("%s needs two payloads" % kind)
+    fam = ctx.family
+    x = _signed_letter(fam, i, j, a)
+    y = _signed_letter(fam, *_second_component(kind, i, j, k, l), b)
+    return _relation_sides(ctx, kind, x, y, fault)
+
+
+def _relation_sides(ctx, kind, first, second, fault=None):
+    """(left word, right word) of one relation instance.
+
+    first and second are the signed letters (letter, its negation) of the
+    two payloads, validated and past the side conditions.  fault corrupts
+    the (St3) right side, as sample_relations describes.
+    """
+    (x, x_neg), (y, y_neg) = first, second
+    base = ctx.algebra.base
+    if kind == "St1":
+        return Word(ctx, (x, y)), Word(ctx, (Letter(x.i, x.j, tuple(map(base.add, x.a, y.a))),))
+    lhs = Word(ctx, (x, y, x_neg, y_neg))
+    if kind == "St2" or fault == "st3-zero":
+        return lhs, Word(ctx)
+    c = ctx.family.block_mul(x.a, x.i, x.j, y.a, y.j)
+    if ctx.scale is not None and fault != "drop-scale":
+        c = tuple([base.scalar_mul(ctx.scale, v) for v in c])
+    return lhs, Word(ctx, (Letter(x.i, y.j, c),))
 
 
 class DiagonalElement:
@@ -650,7 +663,9 @@ def exhaustive_relation_grid(ctx, kind, cap=256):
     """Check a relation for every payload pair over every valid index tuple.
 
     Index tuples whose payload components exceed cap elements are skipped
-    and counted; the rest are verified exhaustively.
+    and counted; the rest are verified exhaustively.  Each tuple's side
+    conditions are checked once, and each component element's letter is
+    built once per tuple, not once per pair.
     """
     fam = ctx.family
     checked = bad = skipped = 0
@@ -659,10 +674,14 @@ def exhaustive_relation_grid(ctx, kind, cap=256):
         if fam.component_size(i, j) > cap or fam.component_size(*second) > cap:
             skipped += 1
             continue
-        for a in fam.component_elements(i, j):
-            for b in fam.component_elements(*second):
-                checked += 1
-                bad += not _relation_holds(ctx, kind, i, j, k, l, a, b)
+        _check_side_conditions(kind, i, j, k, l)
+        firsts = [_signed_letter(fam, i, j, a) for a in fam.component_elements(i, j)]
+        seconds = [_signed_letter(fam, *second, b) for b in fam.component_elements(*second)]
+        for x in firsts:
+            for y in seconds:
+                lhs, rhs = _relation_sides(ctx, kind, x, y)
+                bad += st_eval(lhs) != st_eval(rhs)
+        checked += len(firsts) * len(seconds)
     return {"checked": checked, "violations": bad, "tuples_skipped": skipped}
 
 
@@ -692,7 +711,8 @@ def sample_relations(ctx, rng, kinds, samples, fault=None):
             i, j, k, l = random_relation_indices(fam, rng, kind)
             a = fam.sample_component(i, j, rng)
             b = fam.sample_component(*_second_component(kind, i, j, k, l), rng)
-            bad += not _relation_holds(ctx, kind, i, j, k, l, a, b, fault)
+            lhs, rhs = _instance_sides(ctx, kind, i, j, k, l, a, b, fault)
+            bad += st_eval(lhs) != st_eval(rhs)
         out[kind] = {"checked": samples, "violations": bad}
     return out
 

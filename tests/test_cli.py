@@ -3,11 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import sforge
-from sforge.cli import main
+from sforge.cli import EXHAUSTIVE_GAUSS_MAX, main
 
 M3Z4 = {"kind": "Mat", "size": 3, "base": {"kind": "Zmod", "m": 4}}
 M3Z12 = {"kind": "Mat", "size": 3, "base": {"kind": "Zmod", "m": 12}}
@@ -258,6 +259,20 @@ def run_cli_process(argv):
         timeout=120,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_gauss_exhaustive_past_its_bound_exits_two_at_once(tmp_path):
+    """M(4, Z/12) has 12^16 matrices: refused before any work, with a
+    message naming the bound, an empty stdout and no traceback."""
+    ring = {"kind": "Mat", "size": 4, "base": {"kind": "Zmod", "m": 12}}
+    cfg = write_config(tmp_path, "big.json", {"ring": ring})
+    started = time.perf_counter()
+    code, out, err = run_cli_process(["gauss", "--config", cfg, "--exhaustive"])
+    assert time.perf_counter() - started < 10
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "config error" in err and str(EXHAUSTIVE_GAUSS_MAX) in err
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from sforge import (
     Context,
     CrossedModuleAction,
     IndexClash,
+    Word,
     ad_commutator_path,
     crossed_module_verify,
     gen,
@@ -41,6 +42,43 @@ def test_lift_cache_is_deterministic(m3z4, rng):
     fresh = CrossedModuleAction(m3z4)
     w3, d3 = fresh.lift(g)
     assert w1 == w3 and d1 == d3
+
+
+@pytest.mark.parametrize("drop_diagonal", [False, True])
+def test_lift_words_are_inverted_once(m3z4, rng, monkeypatch, drop_diagonal):
+    """apply inverts w_g when it caches the lift, never again; the inverse
+    of an Ad_g word, rebuilt from its middle, is letter for letter its
+    inverse, and y_commutator is the commutator of the two Ad_g words."""
+    alg = m3z4.algebra
+    action = CrossedModuleAction(m3z4, drop_diagonal=drop_diagonal)
+    ctx = action.context
+    inverted = []
+    original = Word.inverse
+
+    def counted(self):
+        inverted.append(len(self))
+        return original(self)
+
+    gs = [sample_gl(alg, rng) for _ in range(6)]
+    for g in gs:
+        action.lift(g)
+    monkeypatch.setattr(Word, "inverse", counted)
+    for _ in range(40):
+        g = rng.choice(gs)
+        w = random_word(ctx, rng, rng.randrange(4))
+        y = action.apply(g, w)
+        assert not inverted
+        y_inv = action.invert_image(g, y)
+        assert y_inv.letters == original(y).letters
+        assert inverted == [len(w)]
+        del inverted[:]
+        i, j, k = rng.sample(list(m3z4.labels()), 3)
+        a = m3z4.sample_component(i, j, rng)
+        b = m3z4.sample_component(j, k, rng)
+        y1, y2 = y_lift(action, g, i, j, a), y_lift(action, g, j, k, b)
+        want = y1.letters + y2.letters + original(y1).letters + original(y2).letters
+        assert y_commutator(action, g, i, j, k, a, b).letters == want
+        del inverted[:]
 
 
 def test_y_lift_agrees_across_base_points(m3z4, rng):

@@ -20,7 +20,7 @@ from sforge import (
     sample_gl,
     st_eval,
 )
-from sforge.gauss import GaussFactorization, _pivot
+from sforge.gauss import GaussFactorization, _field_pivot_cells
 from sforge.words import Letter, support_sign
 
 
@@ -186,7 +186,31 @@ def test_factorization_json_is_reloadable(m4f3, rng):
 # The dense Gauss of earlier versions, kept as the oracle for the block-value
 # one: every block projection is cut back to an n x n matrix and multiplied
 # with MatrixAlgebra.mul, and the stray pieces are moved by conjugating
-# their st images.  It shares only the pivot choice with the library.
+# their st images.  It shares only the greedy field pivot with the library,
+# and feeds it every entry of g mapped into each residue field, where the
+# library maps only the entries that pivot reads: the chosen cells must agree.
+
+
+def _dense_pivot(fam, g, t, J):
+    base = fam.algebra.base
+    rowsP = sorted(p for j in J for p in fam.support(j))
+    colsT = list(fam.support(t))
+    fields = [f for f, _ in base.residue_fields()]
+    chosen = collections.defaultdict(set)
+    for field, proj in base.residue_fields():
+        M = tuple(tuple(proj(x) for x in row) for row in g)
+        for cell in _field_pivot_cells(field, M, rowsP, colsT):
+            chosen[cell].add(field)
+    return fam.to_matrix(
+        [
+            base.combine_residues([f.one if f in chosen[cell] else f.zero for f in fields])
+            if cell in chosen
+            else base.zero
+            for cell in fam.cells(t, J)
+        ],
+        t,
+        J,
+    )
 
 
 def _dense_cut(fam, m, I, J):
@@ -216,7 +240,7 @@ def _dense_block_step(fam, g, t, J):
     eJ = alg.zero
     for j in J:
         eJ = alg.add(eJ, fam.idempotent(j))
-    a = fam.to_matrix(_pivot(fam, g, t, J), t, J)
+    a = _dense_pivot(fam, g, t, J)
     g1 = alg.mul(g, alg.add(alg.one, a))
     delta = fam.project(g1, J, J)
     delta_inv = fam.to_matrix(fam.corner_inv(delta, J), J, J)
@@ -294,6 +318,8 @@ DENSE_SAMPLED = {
     "M6-Z4-[[0,1],[2,3],[4,5]]": (Zmod(4), 6, [[0, 1], [2, 3], [4, 5]]),
     # block 2 sits on both sides of block 3, so J = (2, 3) interleaves
     "M4-Z4-[[1],[0,3],[2]]": (Zmod(4), 4, [[1], [0, 3], [2]]),
+    # two residue fields, so the pivot is a CRT lift of two field choices
+    "M5-Z12-[[0,1],[2],[3,4]]": (Zmod(12), 5, [[0, 1], [2], [3, 4]]),
 }
 
 

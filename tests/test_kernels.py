@@ -236,3 +236,48 @@ def test_block_kernels_match_dense_reference(name):
             for b in fam.component_elements(j, k):
                 ab = alg.mul(A, fam.to_matrix(b, j, k))
                 assert fam.block_mul(a, i, j, b, k) == fam.project(ab, i, k)
+
+
+KERNEL_GRIDS = ("M3-Z4-units", "M3-GF4-units", "M4-Z2-[[0,1],[2,3]]")
+
+
+def dense_step(fam, m, L, s):
+    """m (1 + a) multiplied out, or the homotope step s*m*a + m + a."""
+    alg = fam.algebra
+    a = dense(fam, L)
+    if s is None:
+        return alg.mul(m, alg.add(alg.one, a))
+    return alg.add(alg.scalar_mul(s, alg.mul(m, a)), alg.add(m, a))
+
+
+@pytest.mark.parametrize("name", KERNEL_GRIDS)
+def test_column_kernel_matches_dense_reference(name):
+    """MatrixAlgebra.add_column_multiples against multiplying out 1 + a:
+    every one- and two-letter word, plain and at three homotope scales,
+    from the identity, from zero and from random start matrices.  Z/m
+    rings take the kernel's Z/m branch, GF(4) its generic one."""
+    fam = GRIDS[name]
+    alg = fam.algebra
+    assert (alg._mod is None) == isinstance(alg.base, GF)
+    rng = random.Random(name)
+    starts = [alg.one, alg.zero] + [
+        tuple(tuple(rng.choice(list(alg.base.elements())) for _ in range(alg.n)) for _ in range(alg.n))
+        for _ in range(2)
+    ]
+    scales = [None] + [scalar(alg.scalar_ring, k) for k in SCALES]
+    letters = all_letters(fam)
+    words = [(L,) for L in letters] + list(itertools.product(letters, repeat=2))
+    for s in scales:
+        for m in starts:
+            for w in words:
+                cols = list(zip(*m))
+                want = m
+                for L in w:
+                    alg.add_column_multiples(cols, fam.cells(L.i, L.j), L.a, s)
+                    want = dense_step(fam, want, L, s)
+                assert tuple(zip(*cols)) == want
+    # a zero letter leaves every column as it was: zero values are skipped
+    cols = list(alg.one)
+    zero_letter = next(L for L in letters if fam.is_zero(L.a))
+    alg.add_column_multiples(cols, fam.cells(zero_letter.i, zero_letter.j), zero_letter.a, scales[-1])
+    assert all(col is row for col, row in zip(cols, alg.one))

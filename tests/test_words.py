@@ -532,3 +532,120 @@ def test_inverse_negates_only_the_letter_cells(name, monkeypatch):
     for w, inv, expected in zip(words, inverses, want):
         assert tuple(inv.letters) == expected
         assert A.mul(st_eval(w), st_eval(inv)) == A.one
+
+
+AGREEMENT_GRIDS = {
+    "M3-Z4-units": (Zmod(4), 3, None),
+    "M3-GF4-units": (GF(2, [1, 1, 1]), 3, None),
+    "M4-Z2-[[0,1],[2,3]]": (Zmod(2), 4, [[0, 1], [2, 3]]),
+}
+
+
+def _record_relation_sides(monkeypatch):
+    """Wrap words._relation_sides; each call appends (kind, x, y, fault,
+    verdict), x and y the two letters and verdict the st comparison."""
+    seen = []
+    original = words_module._relation_sides
+
+    def recording(ctx, kind, first, second, fault=None):
+        lhs, rhs = original(ctx, kind, first, second, fault)
+        seen.append((kind, first[0], second[0], fault, st_eval(lhs) == st_eval(rhs)))
+        return lhs, rhs
+
+    monkeypatch.setattr(words_module, "_relation_sides", recording)
+    return seen
+
+
+def _instance_indices(kind, x, y):
+    if kind == "St1":
+        return x.i, x.j, None, None
+    if kind == "St2":
+        return x.i, x.j, y.i, y.j
+    return x.i, x.j, y.j, None
+
+
+def _reference_verdict(ctx, kind, x, y, fault):
+    """check_relation_instance on the instance; for a fault, the dense
+    reference sides with the (St3) right side corrupted as the fault says."""
+    i, j, k, l = _instance_indices(kind, x, y)
+    if fault is None or kind != "St3":
+        return check_relation_instance(ctx, kind, i, j, k, l, x.a, y.a).ok
+    lhs, rhs = _relation_sides(ctx, kind, i, j, k, l, x.a, y.a)
+    if fault == "st3-zero":
+        rhs = word(ctx, [])
+    elif ctx.scale is not None:
+        fam = ctx.family
+        rhs = gen(ctx, i, k, fam.block_mul(x.a, i, j, y.a, k))
+    return st_eval(lhs) == st_eval(rhs)
+
+
+@pytest.mark.parametrize("name", sorted(AGREEMENT_GRIDS))
+def test_grid_and_sampler_agree_with_check_relation_instance(name, monkeypatch):
+    """Every instance the exhaustive grid and the sampler check, plain and
+    homotope, gets the verdict check_relation_instance gives it; under
+    st3-zero and drop-scale the sampler's verdicts are those of the dense
+    sides with the (St3) right side corrupted.  The grid visits each
+    (a, b) pair of each index tuple exactly once, in order."""
+    base, n, blocks = AGREEMENT_GRIDS[name]
+    A = MatrixAlgebra(base, n)
+    fam = IdempotentFamily.matrix_units(A) if blocks is None else IdempotentFamily(A, blocks)
+    kinds = ("St1", "St2", "St3") if fam.n >= 3 else ("St1", "St2")
+    seen = _record_relation_sides(monkeypatch)
+    flagged = 0
+    for ctx in (Context(fam), Context(fam, scale=base.element(2), level=1)):
+        for kind in kinds:
+            del seen[:]
+            grid = exhaustive_relation_grid(ctx, kind)
+            # check_relation_instance records too, so read a copy
+            got = list(seen)
+            want = [
+                (a, b)
+                for i, j, k, l in relation_index_tuples(fam, kind)
+                for a in fam.component_elements(i, j)
+                for b in fam.component_elements(*words_module._second_component(kind, i, j, k, l))
+            ]
+            assert [(x.a, y.a) for _, x, y, _, _ in got] == want
+            verdicts = [_reference_verdict(ctx, kind, x, y, None) for _, x, y, _, _ in got]
+            assert verdicts == [ok for *_, ok in got]
+            assert grid == {"checked": len(want), "violations": verdicts.count(False), "tuples_skipped": 0}
+        for fault in (None, "st3-zero", "drop-scale"):
+            del seen[:]
+            out = sample_relations(ctx, random.Random(name), kinds, 60, fault)
+            sampled = list(seen)
+            for kind in kinds:
+                got = [rec for rec in sampled if rec[0] == kind]
+                assert len(got) == out[kind]["checked"] == 60
+                verdicts = [_reference_verdict(ctx, kind, x, y, fault) for _, x, y, _, _ in got]
+                assert verdicts == [ok for *_, ok in got]
+                assert out[kind]["violations"] == verdicts.count(False)
+                flagged += verdicts.count(False)
+    assert flagged > 0 or fam.n < 3
+
+
+def test_grid_builds_each_letter_once_per_tuple(monkeypatch):
+    """The grid builds the letter of each component element once per index
+    tuple, |R_ij| + |R_second| letters, not one pair of letters per
+    (a, b) pair."""
+    fam = IdempotentFamily(MatrixAlgebra(Zmod(2), 4), [[0], [1, 2], [3]])
+    ctx = Context(fam)
+    calls = []
+    original = words_module._letter
+
+    def counted(fam, i, j, a):
+        calls.append((i, j, tuple(a)))
+        return original(fam, i, j, a)
+
+    monkeypatch.setattr(words_module, "_letter", counted)
+    for kind in ("St1", "St2", "St3"):
+        del calls[:]
+        grid = exhaustive_relation_grid(ctx, kind)
+        want = []
+        pairs = 0
+        for i, j, k, l in relation_index_tuples(fam, kind):
+            second = words_module._second_component(kind, i, j, k, l)
+            want += [(i, j, a) for a in fam.component_elements(i, j)]
+            want += [(*second, b) for b in fam.component_elements(*second)]
+            pairs += fam.component_size(i, j) * fam.component_size(*second)
+        assert calls == want
+        assert grid["checked"] == pairs
+        assert len(calls) < 2 * pairs

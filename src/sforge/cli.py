@@ -167,12 +167,11 @@ def cmd_relations(cfg, args):
     fam = cfg.family
     require_blocks(fam, 2, "the relation suite")  # samples two distinct labels
     rng = random.Random(cfg.seed)
-    alg = fam.algebra
     contexts = [("plain", Context(fam))]
     if cfg.system == "homotope" or cfg.scale is not None:
         if cfg.scale is None:
             raise ConfigError("homotope relation runs need a scale element")
-        tower = HomotopeTower(alg, cfg.scale, cfg.k_max, fam)
+        tower = HomotopeTower(fam, cfg.scale, cfg.k_max)
         for k in range(cfg.k_max + 1):
             contexts.append(("level-%d" % k, tower.context(k)))
 
@@ -259,7 +258,7 @@ def cmd_tower(cfg, args):
     fam = cfg.family
     if cfg.scale is None:
         raise ConfigError("tower runs need a scale element")
-    tower = HomotopeTower(fam.algebra, cfg.scale, cfg.k_max, fam)
+    tower = HomotopeTower(fam, cfg.scale, cfg.k_max)
     rng = random.Random(cfg.seed)
     per_level = max(1, cfg.samples // (cfg.k_max + 1))
     mutate = "drop-scale" if args.inject_fault == "drop-scale" else None

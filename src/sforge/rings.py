@@ -106,10 +106,6 @@ class Zmod:
             raise NotInvertible("%d is not a unit modulo %d" % (a, self.m))
         return pow(a, -1, self.m)
 
-    @property
-    def scalar_ring(self):
-        return self
-
     def scalar_mul(self, s, a):
         return (s * a) % self.m
 
@@ -350,10 +346,6 @@ class GF:
         if la is None:
             raise NotInvertible("zero is not invertible in GF(%d^%d)" % (self.p, self.deg))
         return self._exp[self.size - 1 - la]
-
-    @property
-    def scalar_ring(self):
-        return self
 
     def scalar_mul(self, s, a):
         return self.mul(s, a)
@@ -631,10 +623,6 @@ class MatrixAlgebra:
             yield tuple(
                 flat[r * self.n:(r + 1) * self.n] for r in range(self.n)
             )
-
-    @property
-    def scalar_ring(self):
-        return self.base
 
     def scalar_mul(self, s, a):
         m = self._mod

@@ -1,15 +1,18 @@
 """Towers of homotopes and the conjugation action of localized generators.
 
-For a central scalar s the homotope at level k is the ring R with the
-rescaled product (a, b) -> s^k * ab.  Levels are indexed by the exponent;
-structure maps go down: a at level k + d maps to s^d * a at level k.
-Words over a level-k context use the scaled fold from st_eval.
+A tower is built from a block family: its algebra, and every payload it
+carries, are the family's.  For a central scalar s the homotope at level
+k is the algebra with the rescaled product (a, b) -> s^k * ab.  Levels
+are indexed by the exponent; structure maps go down: a word at level
+k + d maps to one at level k by scaling each letter's block values by
+s^d.  Words over a level-k context use the scaled fold from st_eval.
 
-Pre-morphisms between towers carry a level shift and one additive
-component applied at every level; two of them are equivalent when their
-composites agree after finitely many structure maps.  Equivalence is
-certified within a level budget, inequivalence only with a witness whose
-difference no power of s annihilates.
+The operators compared are left multiplications by corner values a in
+R_ii on the block values of R_ij, each with a level shift (the operator
+a/s^shift); two of them are equivalent when their composites agree after
+finitely many structure maps.  Equivalence is certified within a level
+budget, inequivalence only with a witness whose difference no power of s
+annihilates.
 
 Actors over the localized ring (payloads given as numerator/denominator
 pairs) act on words letter by letter; st is equivariant for the action
@@ -46,51 +49,23 @@ class NoArrow(SforgeError):
     """Structure maps only go from higher levels to lower ones."""
 
 
-class LevelMismatch(SforgeError):
-    """Operands live at incompatible tower levels."""
-
-
 class LevelBudgetExceeded(SforgeError):
     """The word's level cannot absorb the actor's denominator."""
 
 
-class HomotopeElement:
-    """A ring element tagged with its tower level."""
-
-    __slots__ = ("level", "payload")
-
-    def __init__(self, level, payload):
-        self.level = level
-        self.payload = payload
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HomotopeElement)
-            and other.level == self.level
-            and other.payload == self.payload
-        )
-
-    def __hash__(self):
-        return hash((self.level, self.payload))
-
-    def __repr__(self):
-        return "HomotopeElement(%d, %r)" % (self.level, self.payload)
-
-
 class HomotopeTower:
-    """The tower of homotopes of an algebra at a central scalar s.
+    """The tower of homotopes of a block family's algebra at a central
+    scalar s.
 
     The index monoid is the powers of s; since the scalar ring is finite
     the power sequence is eventually periodic, so arbitrary level values
-    are exact.  family is required for word-level operations only.
+    are exact.
     """
 
-    def __init__(self, algebra, s, k_max=6, family=None):
-        if family is not None and family.algebra != algebra:
-            raise SforgeError("family does not match the algebra")
-        self.algebra = algebra
+    def __init__(self, family, s, k_max=6):
         self.family = family
-        self.scalar = algebra.scalar_ring
+        self.algebra = family.algebra
+        self.scalar = family.algebra.base
         self.s = self.scalar.element(s) if isinstance(s, int) else s
         if k_max < 0:
             raise ValueError("level budget must be nonnegative")
@@ -127,9 +102,6 @@ class HomotopeTower:
         self._power_table()
         return self._preperiod
 
-    def scalar_pow_mul(self, e, a):
-        return self.algebra.scalar_mul(self.scale(e), a)
-
     def scale_block(self, e, a):
         """The block values s^e * a of block values a."""
         s = self.scale(e)
@@ -137,33 +109,9 @@ class HomotopeTower:
         return tuple([mul(s, x) for x in a])
 
     def context(self, k):
-        if self.family is None:
-            raise SforgeError("word contexts need an idempotent family")
         if not (0 <= k):
             raise ValueError("level must be nonnegative")
         return Context(self.family, self.scale(k), k)
-
-    def element(self, k, payload):
-        return HomotopeElement(k, payload)
-
-    def add(self, x, y):
-        if x.level != y.level:
-            raise LevelMismatch("addition needs matching levels")
-        return HomotopeElement(x.level, self.algebra.add(x.payload, y.payload))
-
-    def homotope_mul(self, x, y):
-        """The level product (a, b) -> s^k * ab."""
-        if x.level != y.level:
-            raise LevelMismatch("multiplication needs matching levels")
-        p = self.scalar_pow_mul(x.level, self.algebra.mul(x.payload, y.payload))
-        return HomotopeElement(x.level, p)
-
-    def structure_map(self, x, target):
-        if target > x.level:
-            raise NoArrow("no structure map upward from level %d" % x.level)
-        if target < 0:
-            raise NoArrow("levels are nonnegative")
-        return HomotopeElement(target, self.scalar_pow_mul(x.level - target, x.payload))
 
     def structure_map_word(self, w, target):
         k = w.context.level
@@ -181,54 +129,6 @@ class HomotopeTower:
         if self._localized is None:
             self._localized = LocalizedTower(self)
         return self._localized
-
-
-class TowerMorphism:
-    """A pre-morphism of towers: a level shift plus one additive component.
-
-    The component must commute with multiplication by the central scalar;
-    every operator built here does.
-    """
-
-    def __init__(self, shift, component, name="morphism"):
-        if shift < 0:
-            raise ValueError("level shift must be nonnegative")
-        self.shift = shift
-        self.component = component
-        self.name = name
-
-    def __repr__(self):
-        return "TowerMorphism(%d, %s)" % (self.shift, self.name)
-
-
-class ScaledOperator(TowerMorphism):
-    """Multiplication by a localized element num/s^den, on one side.
-
-    kind "L" multiplies payloads by num on the left (a ring homomorphism
-    in num), kind "R" on the right (an anti-homomorphism); the denominator
-    exponent is the level shift.
-    """
-
-    def __init__(self, algebra, kind, num, den=0):
-        if kind not in ("L", "R"):
-            raise ValueError("operator kind must be 'L' or 'R'")
-        if kind == "L":
-            component = lambda b: algebra.mul(num, b)
-        else:
-            component = lambda b: algebra.mul(b, num)
-        super().__init__(den, component, "%s_(num/s^%d)" % (kind, den))
-        self.kind = kind
-        self.num = num
-        self.den = den
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ScaledOperator)
-            and (other.kind, other.num, other.den) == (self.kind, self.num, self.den)
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.num, self.den))
 
 
 class EquivVerdict:
@@ -251,32 +151,38 @@ class EquivVerdict:
         return "EquivVerdict(%r, extra_level=%r)" % (self.status, self.extra_level)
 
 
-def premorphism_equiv(tower, f, g, carrier, budget=None):
+def premorphism_equiv(tower, i, j, f, g, carrier, budget=None):
     """Compare two pre-morphisms on a carrier within a level budget.
 
-    The composites agree after m extra structure maps iff s^m kills the
-    elementwise difference at the joint source level.  The difference is
-    tracked along the full (eventually periodic) power sequence of s, so
-    a difference that survives onto the cycle is a genuine inequivalence
-    witness; a certificate beyond the budget is reported as inconclusive.
+    f and g are pairs (num, shift): left multiplication by the block values
+    num of R_ii on the block values of R_ij, at level shift `shift` (the
+    operator num/s^shift).  The composites agree after m extra structure
+    maps iff s^m kills the elementwise difference at the joint source
+    level.  The difference is tracked along the full (eventually periodic)
+    power sequence of s, so a difference that survives onto the cycle is a
+    genuine inequivalence witness; a certificate beyond the budget is
+    reported as inconclusive.
     """
-    alg = tower.algebra
+    fam = tower.family
+    sub = fam.algebra.base.sub
     if budget is None:
         budget = tower.k_max
-    d = max(f.shift, g.shift)
+    (a, fs), (c, gs) = f, g
+    d = max(fs, gs)
     horizon = len(tower._power_table()) + 1
     worst = 0
     exhausted = False
     for b in carrier:
-        x = f.component(tower.scalar_pow_mul(d - f.shift, b))
-        y = g.component(tower.scalar_pow_mul(d - g.shift, b))
-        h = alg.sub(x, y)
+        x = fam.block_mul(a, i, i, tower.scale_block(d - fs, b), j)
+        y = fam.block_mul(c, i, i, tower.scale_block(d - gs, b), j)
+        diff = tuple(map(sub, x, y))
+        h = diff
         m = 0
-        while h != alg.zero and m < horizon:
-            h = alg.scalar_mul(tower.s, h)
+        while not fam.is_zero(h) and m < horizon:
+            h = tower.scale_block(1, h)
             m += 1
-        if h != alg.zero:
-            residual = tower.scalar_pow_mul(tower.stable_exponent(), alg.sub(x, y))
+        if not fam.is_zero(h):
+            residual = tower.scale_block(tower.stable_exponent(), diff)
             return EquivVerdict("inequivalent", None, (b, residual))
         if m > budget:
             exhausted = True
@@ -296,18 +202,12 @@ class LocalizedTower:
     """
 
     def __init__(self, tower):
-        if not isinstance(tower.algebra, MatrixAlgebra):
-            raise SforgeError("localized towers need a matrix algebra")
         self.tower = tower
         loc = localize_finite(tower.scalar, tower.s)
         self.scalar_loc = loc
         self.warning = loc.warning
         self.algebra = MatrixAlgebra(loc.ring, tower.algebra.n)
-        self.family = (
-            IdempotentFamily(self.algebra, tower.family.blocks)
-            if tower.family is not None
-            else None
-        )
+        self.family = IdempotentFamily(self.algebra, tower.family.blocks)
         self.s_unit = loc.psi(tower.s)
         self._s_inv = loc.ring.inv(self.s_unit)
 
@@ -383,8 +283,6 @@ class DiagActor:
 
     def __init__(self, tower, i, block, den=0):
         fam = tower.family
-        if fam is None:
-            raise SforgeError("actors need an idempotent family")
         block = tuple(block)
         if len(block) != len(fam.cells(i, i)):
             raise NonInvertibleComponent("numerator not in corner %d" % i)
@@ -417,8 +315,6 @@ class RootActor:
 
     def __init__(self, tower, i, j, block, den=0):
         fam = tower.family
-        if fam is None:
-            raise SforgeError("actors need an idempotent family")
         require_blocks(fam, 4, "a root actor")
         if i == j:
             raise SforgeError("root actor indices must differ")
@@ -566,12 +462,6 @@ def equal_after_localization(tower, w1, w2):
     return _gamma_of_word(tower, w1) == _gamma_of_word(tower, w2)
 
 
-def _sample_matrix(fam, i, j, rng):
-    """A random element of R_ij, as an n x n matrix: operator carriers
-    live in R, not in a letter."""
-    return fam.to_matrix(fam.sample_component(i, j, rng), i, j)
-
-
 def _sample_diag_actor(tower, rng, i, den, tries=64):
     fam = tower.family
     for _ in range(tries):
@@ -600,8 +490,6 @@ def tower_relation_suite(tower, rng, samples_per_level=50, mutate=None):
     status "inconclusive".
     """
     fam = tower.family
-    if fam is None:
-        raise SforgeError("relation suites need an idempotent family")
     require_blocks(fam, 2, "the tower relation suite")
     # below 3 blocks only (St1) is sampled; St2 and St3 are reported empty
     kinds = ("St1", "St2", "St3") if fam.n >= 3 else ("St1",)
@@ -668,13 +556,6 @@ def split_naturality_suite(tower, rng, samples=25, length=3):
     return {"checked": checked, "violations": bad}
 
 
-def actor_apply_chain(tower, actors, w):
-    """Apply actions right to left, as composition of conjugations reads."""
-    for actor in reversed(actors):
-        w = tower_ad(tower, actor, w)
-    return w
-
-
 def actor_relation_suite(tower, rng, samples=25):
     """The localized generators act compatibly with their own relations.
 
@@ -696,7 +577,10 @@ def actor_relation_suite(tower, rng, samples=25):
         slot["violations"] += not ok
 
     def act(actors, w):
-        return actor_apply_chain(tower, actors, w)
+        """Apply actions right to left, as composition of conjugations reads."""
+        for actor in reversed(actors):
+            w = tower_ad(tower, actor, w)
+        return w
 
     for _ in range(samples):
         i, j = rng.sample(labels, 2)
@@ -775,7 +659,7 @@ def actor_relation_suite(tower, rng, samples=25):
 
 
 def scaled_operator_suite(tower, rng, max_extra=2, exponents=(0, 1, 2), cap=256):
-    """Budgeted equivalence of one-sided multiplication operators.
+    """Budgeted equivalence of left multiplication operators.
 
     For corner numerators a, the operator a/s over the (i, j) component is
     compared against a*s^e over s^(1+e); these must be equivalent with
@@ -787,15 +671,15 @@ def scaled_operator_suite(tower, rng, max_extra=2, exponents=(0, 1, 2), cap=256)
     alg = tower.algebra
     labels = list(fam.labels())
     i, j = labels[0], labels[1]
-    # the operators act on R, so carrier and corner are n x n matrices
+    # the operators multiply R_ij block values by R_ii ones
     if fam.component_size(i, j) <= cap:
-        carrier = [fam.to_matrix(a, i, j) for a in fam.component_elements(i, j)]
+        carrier = list(fam.component_elements(i, j))
     else:
-        carrier = [_sample_matrix(fam, i, j, rng) for _ in range(64)]
+        carrier = [fam.sample_component(i, j, rng) for _ in range(64)]
     if fam.component_size(i, i) <= cap:
-        corner = [fam.to_matrix(a, i, i) for a in fam.component_elements(i, i)]
+        corner = list(fam.component_elements(i, i))
     else:
-        corner = [_sample_matrix(fam, i, i, rng) for _ in range(32)]
+        corner = [fam.sample_component(i, i, rng) for _ in range(32)]
 
     report = {
         "pairs_checked": 0,
@@ -806,9 +690,9 @@ def scaled_operator_suite(tower, rng, max_extra=2, exponents=(0, 1, 2), cap=256)
     }
     for a in corner:
         for e in exponents:
-            f = ScaledOperator(alg, "L", a, 1)
-            g = ScaledOperator(alg, "L", tower.scalar_pow_mul(e, a), 1 + e)
-            verdict = premorphism_equiv(tower, f, g, carrier)
+            f = (a, 1)
+            g = (tower.scale_block(e, a), 1 + e)
+            verdict = premorphism_equiv(tower, i, j, f, g, carrier)
             report["pairs_checked"] += 1
             if verdict.status != "equivalent" or verdict.extra_level > max_extra:
                 report["violations"] += 1
@@ -827,13 +711,13 @@ def scaled_operator_suite(tower, rng, max_extra=2, exponents=(0, 1, 2), cap=256)
         report["identities"]["checked"] += 1
         report["identities"]["violations"] += not ok
 
-    report["inequivalent_found"] = _inequivalent_pair(tower, corner, carrier)
+    report["inequivalent_found"] = _inequivalent_pair(tower, i, j, corner, carrier)
     return report
 
 
-def _inequivalent_pair(tower, corner, carrier):
-    """Is some pair of operators L_a, L_b (a, b in corner) certified
-    inequivalent on the carrier?
+def _inequivalent_pair(tower, i, j, corner, carrier):
+    """Is some pair of operators L_a, L_b (a, b in corner, block values of
+    R_ii) certified inequivalent on the carrier in R_ij?
 
     For each a, the first b whose difference survives onto the power cycle
     of s is compared: its probe s^e (a - b) c, with e the stable exponent,
@@ -841,17 +725,16 @@ def _inequivalent_pair(tower, corner, carrier):
     a product, so a nilpotent scale, where every such difference is zero,
     costs no product.
     """
-    alg = tower.algebra
+    fam = tower.family
+    sub = fam.algebra.base.sub
     e = tower.stable_exponent()
     for a in corner:
         for b in corner:
-            diff = tower.scalar_pow_mul(e, alg.sub(a, b))
-            if diff == alg.zero:
+            diff = tower.scale_block(e, tuple(map(sub, a, b)))
+            if fam.is_zero(diff):
                 continue
-            if any(alg.mul(diff, c) != alg.zero for c in carrier):
-                f = ScaledOperator(alg, "L", a, 0)
-                g = ScaledOperator(alg, "L", b, 0)
-                verdict = premorphism_equiv(tower, f, g, carrier)
+            if any(not fam.is_zero(fam.block_mul(diff, i, i, c, j)) for c in carrier):
+                verdict = premorphism_equiv(tower, i, j, (a, 0), (b, 0), carrier)
                 if verdict.status == "inequivalent" and verdict.witness is not None:
                     return True
                 break

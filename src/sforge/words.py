@@ -622,7 +622,7 @@ def word_to_json(w):
         "system": "plain" if w.context.scale is None else "homotope",
     }
     if w.context.scale is not None:
-        head["scale"] = alg.scalar_ring.element_to_json(w.context.scale)
+        head["scale"] = alg.base.element_to_json(w.context.scale)
     if w.context.level is not None:
         head["level"] = w.context.level
     return {

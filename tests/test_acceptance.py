@@ -233,7 +233,7 @@ def test_criterion_5_crossed_module_suite():
 def test_criterion_6_homotope_tower():
     alg = MatrixAlgebra(Zmod(12), 4)
     fam = IdempotentFamily.matrix_units(alg)
-    tower = HomotopeTower(alg, 2, k_max=4, family=fam)
+    tower = HomotopeTower(fam, 2, k_max=4)
     rng = random.Random(606)
     rel = tower_relation_suite(tower, rng, samples_per_level=TOWER_SAMPLES_PER_LEVEL)
     ops = scaled_operator_suite(tower, rng, max_extra=OPERATOR_EXTRA_MAX)

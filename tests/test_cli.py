@@ -533,6 +533,20 @@ TOWER_GOLDEN = {
         _units_tower({"kind": "Zmod", "m": 8}, 2),
         "dc6f7f09049ca43720fc31530a0eab5aa937c6202f08ba204d77caf61bac85be",
     ),
+    # a nilpotent scale on 2 x 2 blocks: the operator suite's corner and
+    # carrier are both the exhaustive 256 block values of a 2 x 2 block
+    "M4-Z4-[[0,1],[2,3]]-s2": (
+        {
+            "ring": {"kind": "Mat", "size": 4, "base": {"kind": "Zmod", "m": 4}},
+            "family": [[0, 1], [2, 3]],
+            "system": "homotope",
+            "scale": 2,
+            "k_max": 2,
+            "samples": 10,
+            "seed": 0,
+        },
+        "bd9d1b5587e0efcb50d98b8826f467b10449a1e28050826afadba9b010d2ada2",
+    ),
 }
 
 

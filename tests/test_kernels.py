@@ -93,7 +93,7 @@ def assert_kernels_match(fam, w):
     assert st_eval(plain) == dense_st(plain)
     assert plain.inverse().letters == dense_inverse_letters(plain)
     for k in SCALES:
-        ctx = Context(fam, scale=scalar(alg.scalar_ring, k))
+        ctx = Context(fam, scale=scalar(alg.base, k))
         scaled = Word(ctx, w.letters)
         assert st_eval(scaled) == dense_st(scaled)
     sign = support_sign(plain)
@@ -166,7 +166,7 @@ def test_words_never_fall_back_to_matrix_products(fam, monkeypatch):
     upper = random_word(ctx, rng, 6, sign=1)
     mixed = random_word(ctx, rng, 6)
     expected = [st_eval(mixed), u_normal_form(upper)]
-    scaled = Word(Context(fam, scale=scalar(fam.algebra.scalar_ring, 2)), mixed.letters)
+    scaled = Word(Context(fam, scale=scalar(fam.algebra.base, 2)), mixed.letters)
     expected.append(st_eval(scaled))
 
     def refuse(*args):
@@ -264,7 +264,7 @@ def test_column_kernel_matches_dense_reference(name):
         tuple(tuple(rng.choice(list(alg.base.elements())) for _ in range(alg.n)) for _ in range(alg.n))
         for _ in range(2)
     ]
-    scales = [None] + [scalar(alg.scalar_ring, k) for k in SCALES]
+    scales = [None] + [scalar(alg.base, k) for k in SCALES]
     letters = all_letters(fam)
     words = [(L,) for L in letters] + list(itertools.product(letters, repeat=2))
     for s in scales:

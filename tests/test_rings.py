@@ -73,7 +73,7 @@ def test_matrix_algebra_basic_ops():
     assert A.add(m, A.neg(m)) == A.zero
     assert A.mul(A.one, m) == m
     assert A.scalar_mul(2, m) == A.add(m, m)
-    assert A.scalar_ring == Zmod(4)
+    assert A.base == Zmod(4)
     assert A.size == 4 ** 4
 
 

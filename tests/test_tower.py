@@ -8,14 +8,11 @@ from sforge import (
     HomotopeTower,
     IdempotentFamily,
     LevelBudgetExceeded,
-    LevelMismatch,
     MatrixAlgebra,
     NoArrow,
     NonInvertibleComponent,
     RankTooSmall,
     RootActor,
-    ScaledOperator,
-    SforgeError,
     Zmod,
     actor_relation_suite,
     ad_equivariance_check,
@@ -35,26 +32,13 @@ from sforge import (
 def tower():
     A = MatrixAlgebra(Zmod(12), 4)
     fam = IdempotentFamily.matrix_units(A)
-    return HomotopeTower(A, 2, k_max=4, family=fam)
+    return HomotopeTower(fam, 2, k_max=4)
 
 
 def test_scale_matches_modular_powers(tower):
     for k in range(50):
         assert tower.scale(k) == pow(2, k, 12)
     assert tower.stable_exponent() == 2
-
-
-def test_structure_maps_compose_downward(tower, rng):
-    alg = tower.algebra
-    for _ in range(50):
-        x = tower.element(4, random_element(alg, rng))
-        one_step = tower.structure_map(tower.structure_map(x, 2), 1)
-        assert one_step == tower.structure_map(x, 1)
-        assert tower.structure_map(x, 4) == x
-    with pytest.raises(NoArrow):
-        tower.structure_map(tower.element(1, alg.zero), 2)
-    with pytest.raises(NoArrow):
-        tower.structure_map(tower.element(1, alg.zero), -1)
 
 
 def test_structure_map_words_scale_payloads(tower, rng):
@@ -65,8 +49,8 @@ def test_structure_map_words_scale_payloads(tower, rng):
         fam = tower.family
         for L, M in zip(w.letters, v.letters):
             assert (M.i, M.j) == (L.i, L.j)
-            assert fam.to_matrix(M.a, M.i, M.j) == tower.scalar_pow_mul(
-                2, fam.to_matrix(L.a, L.i, L.j)
+            assert fam.to_matrix(M.a, M.i, M.j) == tower.algebra.scalar_mul(
+                tower.scale(2), fam.to_matrix(L.a, L.i, L.j)
             )
         assert equal_after_localization(
             tower, tower.structure_map_word(v, 0), tower.structure_map_word(w, 0)
@@ -75,87 +59,68 @@ def test_structure_map_words_scale_payloads(tower, rng):
         tower.structure_map_word(random_word(tower.context(1), rng, 1), 2)
 
 
-def test_homotope_product_is_associative(tower, rng):
+def _level_mul(tower, k, x, y):
+    """The level-k homotope product s^k * xy of two n x n matrices."""
     alg = tower.algebra
-    for _ in range(100):
-        k = rng.randrange(5)
-        x, y, z = (tower.element(k, random_element(alg, rng)) for _ in range(3))
-        assert tower.homotope_mul(tower.homotope_mul(x, y), z) == tower.homotope_mul(
-            x, tower.homotope_mul(y, z)
-        )
-    with pytest.raises(LevelMismatch):
-        tower.homotope_mul(tower.element(1, alg.zero), tower.element(2, alg.zero))
-    with pytest.raises(LevelMismatch):
-        tower.add(tower.element(1, alg.zero), tower.element(2, alg.zero))
+    return alg.scalar_mul(tower.scale(k), alg.mul(x, y))
 
 
 def test_structure_map_respects_products(tower, rng):
     alg = tower.algebra
+    s = tower.scale(1)
     for _ in range(100):
         k = rng.randrange(1, 5)
-        x = tower.element(k, random_element(alg, rng))
-        y = tower.element(k, random_element(alg, rng))
-        lhs = tower.structure_map(tower.homotope_mul(x, y), k - 1)
-        rhs = tower.homotope_mul(
-            tower.structure_map(x, k - 1), tower.structure_map(y, k - 1)
-        )
+        x, y = random_element(alg, rng), random_element(alg, rng)
+        lhs = alg.scalar_mul(s, _level_mul(tower, k, x, y))
+        rhs = _level_mul(tower, k - 1, alg.scalar_mul(s, x), alg.scalar_mul(s, y))
         assert lhs == rhs
 
 
-def _scalar_tower(m, s, k_max=6):
-    return HomotopeTower(Zmod(m), s, k_max=k_max)
+def _two_block_tower(m, s, k_max=6):
+    """The tower of M(2, Z/m) over its units family; its operators multiply
+    the one value of R_12 by the one value of R_11."""
+    fam = IdempotentFamily.matrix_units(MatrixAlgebra(Zmod(m), 2))
+    return HomotopeTower(fam, s, k_max=k_max)
+
+
+def _carrier(t):
+    return list(t.family.component_elements(1, 2))
 
 
 def test_premorphism_identical_operators_agree_exactly():
-    t = _scalar_tower(12, 2)
-    R = t.algebra
-    f = ScaledOperator(R, "L", 5, 1)
-    g = ScaledOperator(R, "L", 5, 1)
-    v = premorphism_equiv(t, f, g, list(R.elements()))
+    t = _two_block_tower(12, 2)
+    v = premorphism_equiv(t, 1, 2, ((5,), 1), ((5,), 1), _carrier(t))
     assert v and v.status == "equivalent" and v.extra_level == 0
 
 
 def test_premorphism_equivalence_needs_extra_maps():
-    t = _scalar_tower(12, 2)
-    R = t.algebra
-    f = ScaledOperator(R, "L", 3, 0)
-    g = ScaledOperator(R, "L", 0, 0)
-    v = premorphism_equiv(t, f, g, list(R.elements()))
+    t = _two_block_tower(12, 2)
+    v = premorphism_equiv(t, 1, 2, ((3,), 0), ((0,), 0), _carrier(t))
     assert v.status == "equivalent"
     assert v.extra_level == 2  # 2^2 * 3 = 0 mod 12, 2 * 3 = 6 is not zero
 
 
 def test_premorphism_inequivalence_has_stable_witness():
-    t = _scalar_tower(12, 2)
-    R = t.algebra
-    f = ScaledOperator(R, "L", 1, 0)
-    g = ScaledOperator(R, "L", 0, 0)
-    v = premorphism_equiv(t, f, g, list(R.elements()))
+    t = _two_block_tower(12, 2)
+    v = premorphism_equiv(t, 1, 2, ((1,), 0), ((0,), 0), _carrier(t))
     assert v.status == "inequivalent"
     b, residual = v.witness
-    assert residual != R.zero
+    assert not t.family.is_zero(residual)
     # residual sits on the power cycle: one full period multiplies back to itself
     period = len(t._power_table()) - t.stable_exponent()
     r = residual
     for _ in range(period):
-        r = R.scalar_mul(t.s, r)
+        r = t.scale_block(1, r)
     assert r == residual
 
 
 def test_premorphism_budget_exhaustion_is_inconclusive():
-    t = _scalar_tower(32, 2, k_max=2)
-    R = t.algebra
-    f = ScaledOperator(R, "L", 1, 0)
-    g = ScaledOperator(R, "L", 0, 0)
-    v = premorphism_equiv(t, f, g, list(R.elements()))
+    t = _two_block_tower(32, 2, k_max=2)
+    f, g = ((1,), 0), ((0,), 0)
+    v = premorphism_equiv(t, 1, 2, f, g, _carrier(t))
     assert v.status == "inconclusive" and not v
     # the same pair certifies with a budget past the nilpotency degree
-    assert premorphism_equiv(t, f, g, list(R.elements()), budget=5).status == "equivalent"
-
-
-def test_localization_needs_a_matrix_algebra():
-    with pytest.raises(SforgeError):
-        _scalar_tower(12, 2).localized()
+    assert premorphism_equiv(t, 1, 2, f, g, _carrier(t), budget=5).status == "equivalent"
 
 
 def test_localized_transfer_maps(tower, rng):
@@ -177,11 +142,10 @@ def test_gamma_turns_circle_into_product(tower, rng):
     alg = tower.algebra
     for _ in range(100):
         k = rng.randrange(5)
-        x = tower.element(k, random_element(alg, rng))
-        y = tower.element(k, random_element(alg, rng))
-        circ = tower.add(tower.add(x, y), tower.homotope_mul(x, y))
-        lhs = loc.gamma(k, circ.payload)
-        rhs = loc.algebra.mul(loc.gamma(k, x.payload), loc.gamma(k, y.payload))
+        x, y = random_element(alg, rng), random_element(alg, rng)
+        circ = alg.add(alg.add(x, y), _level_mul(tower, k, x, y))
+        lhs = loc.gamma(k, circ)
+        rhs = loc.algebra.mul(loc.gamma(k, x), loc.gamma(k, y))
         assert lhs == rhs
 
 
@@ -254,7 +218,7 @@ def test_conj_matches_the_dense_reference(name, monkeypatch):
     base, n, blocks, s = CONJ_CASES[name]
     A = MatrixAlgebra(base, n)
     fam = IdempotentFamily.matrix_units(A) if blocks is None else IdempotentFamily(A, blocks)
-    tower = HomotopeTower(A, s, k_max=4, family=fam)
+    tower = HomotopeTower(fam, s, k_max=4)
     loc = tower.localized()
     actors = []
     for den in range(3):
@@ -282,7 +246,7 @@ def test_conj_matches_the_dense_reference(name, monkeypatch):
 def test_actor_validation():
     A3 = MatrixAlgebra(Zmod(12), 3)
     f3 = IdempotentFamily.matrix_units(A3)
-    t3 = HomotopeTower(A3, 2, k_max=3, family=f3)
+    t3 = HomotopeTower(f3, 2, k_max=3)
     with pytest.raises(RankTooSmall):
         RootActor(t3, 1, 2, f3.sample_component(1, 2, random.Random(0)), 0)
     # 3 dies in the localization at 2 of Z/12, so d_i(3) has no inverse there
@@ -328,7 +292,7 @@ def test_tower_relation_suite_detects_dropped_scale(tower, rng):
 def test_zero_level_budget_is_inconclusive():
     A = MatrixAlgebra(Zmod(12), 4)
     fam = IdempotentFamily.matrix_units(A)
-    t = HomotopeTower(A, 2, k_max=0, family=fam)
+    t = HomotopeTower(fam, 2, k_max=0)
     report = tower_relation_suite(t, random.Random(0), samples_per_level=10)
     assert report["status"] == "inconclusive"
     assert report["violations"] == 0
@@ -338,7 +302,7 @@ def test_zero_level_budget_is_inconclusive():
 def test_collapsing_scalars_carry_a_warning():
     A = MatrixAlgebra(Zmod(8), 4)
     fam = IdempotentFamily.matrix_units(A)
-    t = HomotopeTower(A, 2, k_max=2, family=fam)
+    t = HomotopeTower(fam, 2, k_max=2)
     loc = t.localized()
     assert loc.warning is not None
     # every comparison degenerates to true in the zero ring
@@ -373,17 +337,18 @@ def test_actor_relation_suite_clean(tower, rng):
 def test_nilpotent_scale_probe_makes_no_product(monkeypatch):
     """With s^stable_exponent = 0 every inequivalence probe s^e (a - b) c
     is zero, so the probe skips every corner pair of the whole 256-element
-    corner without an n x n product, and finds no inequivalent pair."""
+    corner without a product, and finds no inequivalent pair."""
     from sforge.tower import _inequivalent_pair
 
     A = MatrixAlgebra(Zmod(4), 4)
     fam = IdempotentFamily(A, [[0, 1], [2, 3]])
-    t = HomotopeTower(A, 2, k_max=2, family=fam)
+    t = HomotopeTower(fam, 2, k_max=2)
     assert t.scale(t.stable_exponent()) == 0
-    corner = [fam.to_matrix(a, 1, 1) for a in fam.component_elements(1, 1)]
-    carrier = [fam.to_matrix(a, 1, 2) for a in fam.component_elements(1, 2)]
+    corner = list(fam.component_elements(1, 1))
+    carrier = list(fam.component_elements(1, 2))
     monkeypatch.setattr(MatrixAlgebra, "mul", _refuse)
-    assert not _inequivalent_pair(t, corner, carrier)
+    monkeypatch.setattr(fam, "block_mul", _refuse)
+    assert not _inequivalent_pair(t, 1, 2, corner, carrier)
 
 
 def test_scaled_operator_suite_budgets(tower, rng):
@@ -393,3 +358,145 @@ def test_scaled_operator_suite_budgets(tower, rng):
     assert report["extra_exponent_max"] <= 2
     assert report["identities"] == {"checked": 200, "violations": 0}
     assert report["inequivalent_found"]
+
+
+def test_operator_suite_multiplies_matrices_only_in_its_identities(tower, rng, monkeypatch):
+    """The operators multiply block values: the suite's only n x n products
+    are the 12 of each of its 200 associativity identities, and it scales
+    no n x n matrix."""
+    calls = {"mul": 0, "scalar_mul": 0}
+
+    def counted(name):
+        fn = getattr(MatrixAlgebra, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(MatrixAlgebra, "mul", counted("mul"))
+    monkeypatch.setattr(MatrixAlgebra, "scalar_mul", counted("scalar_mul"))
+    report = scaled_operator_suite(tower, rng)
+    assert report["identities"]["checked"] == 200
+    assert calls == {"mul": 12 * 200, "scalar_mul": 0}
+
+
+def _dense_premorphism_equiv(tower, f, g, carrier, budget=None):
+    """The dense reference for premorphism_equiv: f and g are pairs
+    (num, shift) with num an n x n matrix, the carrier holds n x n
+    matrices, and each operator is an n x n product.  Returns (status,
+    extra level, witness)."""
+    alg = tower.algebra
+    if budget is None:
+        budget = tower.k_max
+
+    def pow_mul(e, a):
+        return alg.scalar_mul(tower.scale(e), a)
+
+    (a, fs), (c, gs) = f, g
+    d = max(fs, gs)
+    horizon = len(tower._power_table()) + 1
+    worst = 0
+    exhausted = False
+    for b in carrier:
+        x = alg.mul(a, pow_mul(d - fs, b))
+        y = alg.mul(c, pow_mul(d - gs, b))
+        h = alg.sub(x, y)
+        m = 0
+        while h != alg.zero and m < horizon:
+            h = alg.scalar_mul(tower.s, h)
+            m += 1
+        if h != alg.zero:
+            residual = pow_mul(tower.stable_exponent(), alg.sub(x, y))
+            return "inequivalent", None, (b, residual)
+        if m > budget:
+            exhausted = True
+        worst = max(worst, m)
+    if exhausted:
+        return "inconclusive", None, None
+    return "equivalent", worst, None
+
+
+def _dense_inequivalent_pair(tower, corner, carrier):
+    """The dense reference for _inequivalent_pair, on n x n matrices."""
+    alg = tower.algebra
+    stable = tower.scale(tower.stable_exponent())
+    for a in corner:
+        for b in corner:
+            diff = alg.scalar_mul(stable, alg.sub(a, b))
+            if diff == alg.zero:
+                continue
+            if any(alg.mul(diff, c) != alg.zero for c in carrier):
+                status, _, witness = _dense_premorphism_equiv(tower, (a, 0), (b, 0), carrier)
+                if status == "inequivalent" and witness is not None:
+                    return True
+                break
+    return False
+
+
+EQ, INC, INEQ = "equivalent", "inconclusive", "inequivalent"
+
+# (base, n, blocks or None for the units family, s, the (i, j) operator
+# components compared, the verdicts that arise); each corner R_ii and
+# carrier R_ij is exhaustive.  A nilpotent s certifies no inequivalence, and
+# a unit s leaves nothing inconclusive.
+OPERATOR_CASES = {
+    "M4-Z4-[[0,1],[2,3]]-s2": (Zmod(4), 4, [[0, 1], [2, 3]], 2, [(1, 2)], {EQ, INC}),
+    "M4-Z12-s2": (Zmod(12), 4, None, 2, [(1, 2), (3, 1)], {EQ, INC, INEQ}),
+    "M4-Z12-s3": (Zmod(12), 4, None, 3, [(1, 2), (3, 1)], {EQ, INEQ}),
+    "M4-GF4-s[0,1]": (GF(2, [1, 1, 1]), 4, None, (0, 1), [(1, 2), (3, 1)], {EQ, INEQ}),
+    "M4-Z12-[[0,1],[2],[3]]-s3": (
+        Zmod(12), 4, [[0, 1], [2], [3]], 3, [(2, 1), (2, 3)], {EQ, INEQ}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATOR_CASES))
+def test_block_operators_match_the_dense_loop(name):
+    """premorphism_equiv and _inequivalent_pair on block values give the
+    dense n x n loop's verdicts, extra levels, witnesses and probe results.
+
+    Every corner value a meets the whole carrier once: at even positions t
+    in the suite's pair a/s against s^e a/s^(1+e), with e cycling through
+    0, 1, 2; at odd ones against the reversed corner's value b, at shifts
+    (t mod 4 // 2, 0) and budget 1, where inconclusive and inequivalent
+    verdicts arise.
+    """
+    from sforge.tower import _inequivalent_pair
+
+    base, n, blocks, s, components, want = OPERATOR_CASES[name]
+    A = MatrixAlgebra(base, n)
+    fam = IdempotentFamily.matrix_units(A) if blocks is None else IdempotentFamily(A, blocks)
+    t = HomotopeTower(fam, s, k_max=2)
+    statuses = set()
+    for i, j in components:
+        corner = list(fam.component_elements(i, i))
+        carrier = list(fam.component_elements(i, j))
+        dense_corner = [fam.to_matrix(a, i, i) for a in corner]
+        dense_carrier = [fam.to_matrix(b, i, j) for b in carrier]
+        for pos, (a, a_dense) in enumerate(zip(corner, dense_corner)):
+            if pos % 2 == 0:
+                e = pos // 2 % 3
+                f, f_dense = (a, 1), (a_dense, 1)
+                g = (t.scale_block(e, a), 1 + e)
+                g_dense = (A.scalar_mul(t.scale(e), a_dense), 1 + e)
+                budget = None
+            else:
+                shift = pos % 4 // 2
+                f, f_dense = (a, shift), (a_dense, shift)
+                g, g_dense = (corner[-1 - pos], 0), (dense_corner[-1 - pos], 0)
+                budget = 1
+            got = premorphism_equiv(t, i, j, f, g, carrier, budget)
+            status, extra, witness = _dense_premorphism_equiv(
+                t, f_dense, g_dense, dense_carrier, budget
+            )
+            assert (got.status, got.extra_level) == (status, extra), (i, j, pos)
+            if witness is not None:
+                b, residual = got.witness
+                assert (fam.to_matrix(b, i, j), fam.to_matrix(residual, i, j)) == witness
+            statuses.add(status)
+        assert _inequivalent_pair(t, i, j, corner, carrier) == _dense_inequivalent_pair(
+            t, dense_corner, dense_carrier
+        )
+    assert statuses == want

@@ -10,25 +10,18 @@ from .rings import (
     NotInvertible,
     SforgeError,
     Zmod,
-    is_quasi_invertible,
     localize_finite,
-    quasi_invert,
     random_element,
     ring_from_json,
 )
 from .peirce import (
     BadFamily,
-    FactorResult,
-    FamilyVerdict,
     IdempotentFamily,
     IndexClash,
     Refinement,
-    check_idempotent_family,
-    factor_through_product,
     family_from_json,
     morita_decompose,
 )
-from .roots import ParallelRoots, Root, RootSystemA
 from .words import (
     Context,
     DiagonalElement,
@@ -54,7 +47,6 @@ from .words import (
     st_eval,
     u_normal_form,
     word,
-    word_from_json,
     word_to_json,
 )
 from .tower import (

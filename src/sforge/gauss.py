@@ -273,8 +273,8 @@ def enumerate_gl(alg):
             yield m
 
 
-def sample_gl(alg, rng, max_tries=10000):
-    for _ in range(max_tries):
+def sample_gl(alg, rng):
+    for _ in range(10000):
         m = random_element(alg, rng)
         if alg.is_unit(m):
             return m

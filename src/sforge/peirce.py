@@ -22,7 +22,6 @@ import itertools
 import operator
 
 from .rings import MatrixAlgebra, SforgeError
-from .roots import Root, RootSystemA
 
 
 class BadFamily(SforgeError):
@@ -229,12 +228,18 @@ class IdempotentFamily:
     def merge(self, p, q):
         """Merge blocks p and q; the merged class is placed last.
 
-        Returns (coarse family, Refinement).
+        The other blocks keep their order.  Returns (coarse family,
+        Refinement), whose label_map sends each fine label to its coarse
+        one, p and q to the last.
         """
         if p == q:
             raise IndexClash("cannot merge a block with itself")
-        quo, label_map = RootSystemA(0, self.blocks).quotient(Root(p, q))
-        coarse = IdempotentFamily(self.algebra, quo.classes)
+        keep = [t for t in self.labels() if t not in (p, q)]
+        blocks = [self.blocks[t - 1] for t in keep]
+        blocks.append(self.blocks[p - 1] + self.blocks[q - 1])
+        label_map = {t: k for k, t in enumerate(keep, start=1)}
+        label_map[p] = label_map[q] = len(blocks)
+        coarse = IdempotentFamily(self.algebra, blocks)
         return coarse, Refinement(self, coarse, (p, q), label_map)
 
     def to_json(self):
@@ -321,125 +326,3 @@ def morita_decompose(fam, c, i, j, k):
         if not fam.is_zero(b):
             out.append((x, b))
     return out
-
-
-class FamilyVerdict:
-    def __init__(self, ok, violations):
-        self.ok = ok
-        self.violations = violations
-
-    def __bool__(self):
-        return self.ok
-
-
-def check_idempotent_family(fam):
-    """Re-verify idempotence, orthogonality, completeness and witness sums."""
-    alg = fam.algebra
-    bad = []
-    total = alg.zero
-    for i in fam.labels():
-        e = fam.idempotent(i)
-        if alg.mul(e, e) != e:
-            bad.append(("idempotence", i))
-        total = alg.add(total, e)
-        for j in fam.labels():
-            if i != j:
-                if alg.mul(fam.idempotent(i), fam.idempotent(j)) != alg.zero:
-                    bad.append(("orthogonality", (i, j)))
-    if total != alg.one:
-        bad.append(("completeness", None))
-    for i in fam.labels():
-        for j in fam.labels():
-            if i == j:
-                continue
-            acc = alg.zero
-            for x, y in fam.witnesses(i, j):
-                if (len(x), len(y)) != (len(fam.cells(i, j)), len(fam.cells(j, i))):
-                    bad.append(("witness-membership", (i, j)))
-                acc = alg.add(acc, alg.mul(fam.to_matrix(x, i, j), fam.to_matrix(y, j, i)))
-            if acc != fam.idempotent(i):
-                bad.append(("witness-sum", (i, j)))
-    return FamilyVerdict(not bad, bad)
-
-
-class FactorResult:
-    """Outcome of factoring a bilinear map through the Peirce product.
-
-    ok is True when the four identities hold on the tested grid; then
-    induced(c) realizes the factored map on R_ik and agrees with g on
-    products.  On failure, violation = (identity name, witness inputs).
-    """
-
-    def __init__(self, ok, violation, induced, checked):
-        self.ok = ok
-        self.violation = violation
-        self.induced = induced
-        self.checked = checked
-
-    def __bool__(self):
-        return self.ok
-
-
-def factor_through_product(fam, i, j, k, g, add, zero, rng=None, samples=None):
-    """Factor a biadditive map g on R_ij x R_jk through multiplication.
-
-    g takes and the induced map f returns n x n matrices of R, and g maps
-    pairs into an abelian group given by (add, zero).  Checks, on an
-    exhaustive grid (or `samples` random triples when given), that values of
-    g commute, that g is biadditive, and that g(a r, b) == g(a, r b) for r in
-    R_jj.  When all hold, returns the induced map f(c) = sum_p g(x_p, y_p c)
-    and certifies f(a b) == g(a, b) on the grid.
-    """
-    if len({i, j, k}) != 3:
-        raise IndexClash("factor_through_product needs three distinct labels")
-    alg = fam.algebra
-
-    def elements(p, q):
-        return [fam.to_matrix(a, p, q) for a in fam.component_elements(p, q)]
-
-    def sample(p, q):
-        return fam.to_matrix(fam.sample_component(p, q, rng), p, q)
-
-    if samples is None:
-        lefts = elements(i, j)
-        rights = elements(j, k)
-        mids = elements(j, j)
-        grid = [
-            (a, a2, b, b2, r)
-            for a in lefts
-            for a2 in lefts
-            for b in rights
-            for b2 in rights
-            for r in mids
-        ]
-    else:
-        grid = [
-            (sample(i, j), sample(i, j), sample(j, k), sample(j, k), sample(j, j))
-            for _ in range(samples)
-        ]
-
-    checked = 0
-    for a, a2, b, b2, r in grid:
-        checked += 1
-        if add(g(a, b), g(a2, b2)) != add(g(a2, b2), g(a, b)):
-            return FactorResult(False, ("commuting-values", (a, b, a2, b2)), None, checked)
-        if g(alg.add(a, a2), b) != add(g(a, b), g(a2, b)):
-            return FactorResult(False, ("left-additivity", (a, a2, b)), None, checked)
-        if g(a, alg.add(b, b2)) != add(g(a, b), g(a, b2)):
-            return FactorResult(False, ("right-additivity", (a, b, b2)), None, checked)
-        if g(alg.mul(a, r), b) != g(a, alg.mul(r, b)):
-            return FactorResult(False, ("middle-associativity", (a, r, b)), None, checked)
-
-    pairs = [(fam.to_matrix(x, i, j), fam.to_matrix(y, j, i)) for x, y in fam.witnesses(i, j)]
-
-    def induced(c):
-        acc = zero
-        for x, y in pairs:
-            acc = add(acc, g(x, alg.mul(y, c)))
-        return acc
-
-    for a, _, b, _, _ in grid:
-        if induced(alg.mul(a, b)) != g(a, b):
-            return FactorResult(False, ("product-agreement", (a, b)), None, checked)
-
-    return FactorResult(True, None, induced, checked)

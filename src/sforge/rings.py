@@ -37,10 +37,6 @@ class NotInvertible(SforgeError):
     """An element required to be a unit is not one."""
 
 
-class NotQuasiInvertible(SforgeError):
-    """No two-sided quasi-inverse exists at the requested scale."""
-
-
 def _is_prime(m):
     if m < 2:
         return False
@@ -805,23 +801,6 @@ def localize_finite(K, s):
             )
         return Localization(K, lambda x: x, lambda x: x, (K.zero,), None)
     raise SforgeError("localization implemented for Zmod and GF scalars only")
-
-
-def quasi_invert(R, a, s):
-    """The two-sided quasi-inverse of a at central scale s.
-
-    Solves s*a*b + a + b = 0 = s*b*a + b + a.  Exists iff 1 + s*a is a unit;
-    then b = -(1 + s*a)^{-1} * a.
-    """
-    u = R.add(R.one, R.scalar_mul(s, a))
-    if not R.is_unit(u):
-        raise NotQuasiInvertible("1 + s*a is not a unit")
-    b = R.neg(R.mul(R.inv(u), a))
-    return b
-
-
-def is_quasi_invertible(R, a, s):
-    return R.is_unit(R.add(R.one, R.scalar_mul(s, a)))
 
 
 def random_element(ring, rng):

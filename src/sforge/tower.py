@@ -462,9 +462,9 @@ def equal_after_localization(tower, w1, w2):
     return _gamma_of_word(tower, w1) == _gamma_of_word(tower, w2)
 
 
-def _sample_diag_actor(tower, rng, i, den, tries=64):
+def _sample_diag_actor(tower, rng, i, den):
     fam = tower.family
-    for _ in range(tries):
+    for _ in range(64):
         try:
             return DiagActor(tower, i, fam.sample_component(i, i, rng), den)
         except NonInvertibleComponent:
@@ -530,13 +530,13 @@ def tower_relation_suite(tower, rng, samples_per_level=50, mutate=None):
     return report
 
 
-def split_naturality_suite(tower, rng, samples=25, length=3):
+def split_naturality_suite(tower, rng, samples=25):
     """Refinement of words commutes with the structure maps.
 
-    Merges the last two blocks, samples words over the coarse family at a
-    positive level, and compares split-then-map against map-then-split
-    after reduction (zero cuts may drop on one side only).  Needs three
-    blocks, so that the coarse family still has two.
+    Merges the last two blocks, samples words of 3 letters over the coarse
+    family at a positive level, and compares split-then-map against
+    map-then-split after reduction (zero cuts may drop on one side only).
+    Needs three blocks, so that the coarse family still has two.
     """
     fam = tower.family
     require_blocks(fam, 3, "the split naturality suite")
@@ -548,7 +548,7 @@ def split_naturality_suite(tower, rng, samples=25, length=3):
     for _ in range(samples):
         k = rng.randrange(1, tower.k_max + 1)
         ctx = Context(coarse, tower.scale(k), k)
-        w = random_word(ctx, rng, length)
+        w = random_word(ctx, rng, 3)
         lhs = f_alpha(tower.structure_map_word(w, k - 1), ref)
         rhs = tower.structure_map_word(f_alpha(w, ref), k - 1)
         checked += 1
@@ -658,13 +658,15 @@ def actor_relation_suite(tower, rng, samples=25):
     return {"checked": checked, "violations": bad, "cases": cases}
 
 
-def scaled_operator_suite(tower, rng, max_extra=2, exponents=(0, 1, 2), cap=256):
+def scaled_operator_suite(tower, rng, max_extra=2):
     """Budgeted equivalence of left multiplication operators.
 
     For corner numerators a, the operator a/s over the (i, j) component is
-    compared against a*s^e over s^(1+e); these must be equivalent with
-    extra structure exponent at most max_extra.  A pair whose difference
-    survives onto the power cycle of s is certified inequivalent.
+    compared against a*s^e over s^(1+e), e = 0, 1, 2; these must be
+    equivalent with extra structure exponent at most max_extra.  Corner and
+    carrier are enumerated when they have at most 256 elements, sampled
+    otherwise.  A pair whose difference survives onto the power cycle of s
+    is certified inequivalent.
     """
     fam = tower.family
     require_blocks(fam, 2, "the scaled operator suite")
@@ -672,11 +674,11 @@ def scaled_operator_suite(tower, rng, max_extra=2, exponents=(0, 1, 2), cap=256)
     labels = list(fam.labels())
     i, j = labels[0], labels[1]
     # the operators multiply R_ij block values by R_ii ones
-    if fam.component_size(i, j) <= cap:
+    if fam.component_size(i, j) <= 256:
         carrier = list(fam.component_elements(i, j))
     else:
         carrier = [fam.sample_component(i, j, rng) for _ in range(64)]
-    if fam.component_size(i, i) <= cap:
+    if fam.component_size(i, i) <= 256:
         corner = list(fam.component_elements(i, i))
     else:
         corner = [fam.sample_component(i, i, rng) for _ in range(32)]
@@ -689,7 +691,7 @@ def scaled_operator_suite(tower, rng, max_extra=2, exponents=(0, 1, 2), cap=256)
         "inequivalent_found": False,
     }
     for a in corner:
-        for e in exponents:
+        for e in (0, 1, 2):
             f = (a, 1)
             g = (tower.scale_block(e, a), 1 + e)
             verdict = premorphism_equiv(tower, i, j, f, g, carrier)

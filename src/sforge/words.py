@@ -13,11 +13,9 @@ _relation_sides, from validated letters paired with their negations;
 the exhaustive grid builds each component element's letter once per
 index tuple and checks the tuple's side conditions once.
 
-The JSON wire format is unchanged: a letter's "a" is still its n x n
-matrix, and word_from_json refuses one with a nonzero entry off R_ij.
-Formal inverses are normalized away on input: x_ij(a)^{-1} = x_ij(-a)
-holds in every context, so letters carry no exponent internally (the
-wire format still accepts "e": +-1).
+On the wire a letter's "a" is its n x n matrix.  Formal inverses are
+normalized away on input: x_ij(a)^{-1} = x_ij(-a) holds in every
+context, so letters carry no exponent internally.
 
 Contexts:
 
@@ -437,13 +435,6 @@ class DiagonalElement:
     def identity(cls, family):
         return cls(family, [family.idempotent(t) for t in family.labels()], validate=False)
 
-    @classmethod
-    def one_slot(cls, family, i, u):
-        """d_i(u): the identity with slot i replaced by u."""
-        comps = [family.idempotent(t) for t in family.labels()]
-        comps[i - 1] = u
-        return cls(family, comps)
-
     def embed(self):
         alg = self.family.algebra
         acc = alg.zero
@@ -468,19 +459,6 @@ class DiagonalElement:
                 fam.corner_inv(b, t) for t, b in enumerate(self.blocks(), start=1)
             )
         return self._inv_blocks
-
-    def mul(self, other):
-        alg = self.family.algebra
-        return DiagonalElement(
-            self.family,
-            [alg.mul(a, b) for a, b in zip(self.components, other.components)],
-            validate=False,
-        )
-
-    def inverse(self):
-        fam = self.family
-        comps = [fam.to_matrix(v, t, t) for t, v in enumerate(self.inverse_blocks(), start=1)]
-        return DiagonalElement(fam, comps, validate=False)
 
     def __eq__(self, other):
         return (
@@ -545,7 +523,7 @@ def f_alpha(w, ref):
     return Word(ctx_fine, tuple(out))
 
 
-def g_alpha(w, ref, epi_only=False):
+def g_alpha(w, ref):
     """Push a word over the fine family down to the coarse (merged) family.
 
     Letters not touching both merged labels map to their coarse classes
@@ -554,7 +532,7 @@ def g_alpha(w, ref, epi_only=False):
     of commutators of off-diagonal letters.  Splitting is a group inverse
     to this map when the fine family has at least 4 blocks.
     """
-    require_blocks(ref.fine, 3 if epi_only else 4, "the merge map")
+    require_blocks(ref.fine, 4, "the merge map")
     if w.context.family != ref.fine:
         raise SforgeError("word does not live over the fine family")
     neg = ref.fine.algebra.base.neg
@@ -755,29 +733,3 @@ def random_word(ctx, rng, length, sign=None, avoid=()):
         if not fam.is_zero(a):
             letters.append(Letter(i, j, a))
     return Word(ctx, tuple(letters))
-
-
-def word_from_json(ctx, obj):
-    """A validated word from its wire form.  Each letter's "a" is an n x n
-    matrix, which must be zero off R_ij; its block values become the
-    payload.  Any other shape, or a nonzero entry off R_ij, raises
-    SideConditionViolated."""
-    fam = ctx.family
-    alg = ctx.algebra
-    n = alg.n
-    out = Word(ctx)
-    for item in obj["letters"]:
-        i, j = item["i"], item["j"]
-        _check_indices(fam, i, j)
-        rows = item["a"]
-        if not (
-            isinstance(rows, list)
-            and len(rows) == n
-            and all(isinstance(row, list) and len(row) == n for row in rows)
-        ):
-            raise SideConditionViolated("payload is not a %d x %d matrix" % (n, n))
-        a = alg.element_from_json(rows)
-        if not fam.contains(a, i, j):
-            raise SideConditionViolated("payload not in the declared Peirce component")
-        out = out * gen(ctx, i, j, fam.project(a, i, j), item.get("e", 1))
-    return out

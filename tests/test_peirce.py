@@ -9,8 +9,6 @@ from sforge import (
     IndexClash,
     MatrixAlgebra,
     Zmod,
-    check_idempotent_family,
-    factor_through_product,
     family_from_json,
     morita_decompose,
 )
@@ -69,25 +67,25 @@ def test_family_constructor_validates_partition():
 
 
 def test_idempotent_family_checker_passes_blocked(m4f2):
-    fam = IdempotentFamily(m4f2.algebra, [[0, 2], [1], [3]])
-    verdict = check_idempotent_family(fam)
-    assert verdict
-    assert verdict.violations == []
-
-
-def test_idempotent_family_checker_catches_corruption(m4f2):
-    class Corrupted(IdempotentFamily):
-        def idempotent(self, i):
-            e = super().idempotent(i)
-            if i == 1:
-                return self.algebra.add(e, self.algebra.unit_matrix(0, 1, 1))
-            return e
-
-    fam = Corrupted(m4f2.algebra, [[0, 1], [2, 3]])
-    verdict = check_idempotent_family(fam)
-    assert not verdict
-    kinds = {kind for kind, _ in verdict.violations}
-    assert "idempotence" in kinds or "orthogonality" in kinds
+    """Idempotence, orthogonality, completeness and the witness sums hold
+    on a blocked family with an interleaved block and on a units family."""
+    A = m4f2.algebra
+    for fam in (IdempotentFamily(A, [[0, 2], [1], [3]]), m4f2):
+        total = A.zero
+        for i in fam.labels():
+            e = fam.idempotent(i)
+            assert A.mul(e, e) == e
+            total = A.add(total, e)
+            for j in fam.labels():
+                if i == j:
+                    continue
+                assert A.mul(e, fam.idempotent(j)) == A.zero
+                acc = A.zero
+                for x, y in fam.witnesses(i, j):
+                    assert (len(x), len(y)) == (len(fam.cells(i, j)), len(fam.cells(j, i)))
+                    acc = A.add(acc, A.mul(fam.to_matrix(x, i, j), fam.to_matrix(y, j, i)))
+                assert acc == e
+        assert total == A.one
 
 
 def test_witnesses_recompose_the_idempotent(rng):
@@ -148,7 +146,8 @@ def test_corner_inverse_via_global_unit(m3z4):
 
 def test_merge_places_united_block_last(m4f2):
     coarse, ref = m4f2.merge(2, 3)
-    assert coarse.blocks[-1] == (1, 2)
+    assert coarse.blocks == ((0,), (3,), (1, 2))
+    assert (ref.label_map[1], ref.label_map[4]) == (1, 2)
     assert ref.fine is m4f2
     assert ref.coarse is coarse
     assert ref.label_map[2] == ref.label_map[3] == len(coarse.blocks)
@@ -173,32 +172,27 @@ def test_merge_places_united_block_last(m4f2):
                 assert coarse.to_matrix(coarse.project(m, p, q), p, q) == fine_sum
 
 
+def test_double_merge_partition_is_order_free():
+    """Merging blocks 1, 2 and then 3, 4 of five gives the same partition,
+    and sends each fine label to the same class, as the other order."""
+    fam = IdempotentFamily.matrix_units(MatrixAlgebra(Zmod(2), 5))
+
+    def merge_twice(first, second):
+        once, ref1 = fam.merge(*first)
+        twice, ref2 = once.merge(*(ref1.label_map[t] for t in second))
+        classes = {}
+        for t in fam.labels():
+            classes.setdefault(ref2.label_map[ref1.label_map[t]], set()).add(t)
+        return set(twice.blocks), {frozenset(c) for c in classes.values()}
+
+    blocks, classes = merge_twice((1, 2), (3, 4))
+    assert (blocks, classes) == merge_twice((3, 4), (1, 2))
+    assert blocks == {(0, 1), (2, 3), (4,)}
+    assert classes == {frozenset({1, 2}), frozenset({3, 4}), frozenset({5})}
+
+
 def test_family_json_roundtrip(m4f2):
     desc = m4f2.to_json()
     back = family_from_json(m4f2.algebra, desc)
     assert back == m4f2
     assert family_from_json(m4f2.algebra, "units") == m4f2
-
-
-def test_factor_through_product_multiplication():
-    A = MatrixAlgebra(Zmod(2), 3)
-    fam = IdempotentFamily.matrix_units(A)
-    res = factor_through_product(fam, 1, 2, 3, A.mul, A.add, A.zero)
-    assert res
-    for c in fam.component_elements(1, 3):
-        c = fam.to_matrix(c, 1, 3)
-        assert res.induced(c) == c
-
-
-def test_factor_through_product_rejects_twisted_map():
-    """A pairing with a non-central twist fails middle associativity."""
-    A = MatrixAlgebra(Zmod(2), 4)
-    fam = IdempotentFamily(A, [[0], [1, 2], [3]])
-    twist = A.unit_matrix(1, 2, 1)  # inside the middle corner, not central
-
-    def g(a, b):
-        return A.mul(a, A.mul(twist, b))
-
-    res = factor_through_product(fam, 1, 2, 3, g, A.add, A.zero)
-    assert not res
-    assert res.violation is not None

@@ -9,13 +9,10 @@ from sforge import (
     MatrixAlgebra,
     NotInvertible,
     Zmod,
-    is_quasi_invertible,
     localize_finite,
-    quasi_invert,
     random_element,
     ring_from_json,
 )
-from sforge.rings import NotQuasiInvertible
 
 
 def test_zmod_ring_axioms_exhaustive():
@@ -143,45 +140,6 @@ def test_localize_nilpotent_scale_collapses():
     loc = localize_finite(Zmod(8), 2)
     assert loc.warning is not None
     assert len(list(loc.ring.elements())) == 1
-
-
-def test_quasi_inverse_value():
-    R = Zmod(6)
-    b = quasi_invert(R, 3, 2)
-    assert b == 3
-    assert (2 * 3 * b + 3 + b) % 6 == 0
-
-
-def test_quasi_inverse_properties_exhaustive():
-    R = Zmod(4)
-    s = 2
-    for a in R.elements():
-        if not is_quasi_invertible(R, a, s):
-            continue
-        b = quasi_invert(R, a, s)
-        assert R.add(R.scalar_mul(s, R.mul(a, b)), R.add(a, b)) == R.zero
-        assert R.add(R.scalar_mul(s, R.mul(b, a)), R.add(b, a)) == R.zero
-
-
-def test_quasi_inverse_refuses_non_units():
-    with pytest.raises(NotQuasiInvertible):
-        quasi_invert(Zmod(6), 1, 1)  # 1 + 1*1 = 2 is not a unit mod 6
-
-
-def test_circle_product_group_exhaustive():
-    """Quasi-invertible elements form a group under x*y*s + x + y."""
-    R = Zmod(4)
-    s = 2
-    circ = lambda x, y: (s * x * y + x + y) % 4
-    els = [a for a in R.elements() if is_quasi_invertible(R, a, s)]
-    for x in els:
-        assert circ(x, 0) == x
-        b = quasi_invert(R, x, s)
-        assert circ(x, b) == 0
-        for y in els:
-            assert is_quasi_invertible(R, circ(x, y), s)
-            for z in els:
-                assert circ(circ(x, y), z) == circ(x, circ(y, z))
 
 
 def test_random_element_is_seed_deterministic():

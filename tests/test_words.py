@@ -33,7 +33,6 @@ from sforge import (
     st_eval,
     u_normal_form,
     word,
-    word_from_json,
     word_to_json,
 )
 from sforge import words as words_module
@@ -239,7 +238,7 @@ def test_diag_act_is_conjugation(plain, rng):
         d = _random_diagonal(plain.family, rng)
         w = random_word(plain, rng, rng.randrange(5))
         g = d.embed()
-        ginv = d.inverse().embed()
+        ginv = alg.inv(g)
         assert alg.mul(g, ginv) == alg.one
         assert st_eval(diag_act(d, w)) == alg.mul(g, alg.mul(st_eval(w), ginv))
 
@@ -252,10 +251,13 @@ def test_diagonal_element_validation(m3z4):
         DiagonalElement(m3z4, bad)
     with pytest.raises(NonInvertibleComponent):
         DiagonalElement(m3z4, bad[:2])
-    d = DiagonalElement.one_slot(m3z4, 2, alg.scalar_mul(alg.base.element(3), m3z4.idempotent(2)))
-    e = _random_diagonal(m3z4, random.Random(7))
-    assert d.mul(e).embed() == alg.mul(d.embed(), e.embed())
-    assert d.mul(d.inverse()) == DiagonalElement.identity(m3z4)
+    good = [m3z4.idempotent(t) for t in m3z4.labels()]
+    good[1] = alg.scalar_mul(alg.base.element(3), good[1])
+    d = DiagonalElement(m3z4, good)
+    assert d.blocks() == ((1,), (3,), (1,))
+    assert d.inverse_blocks() == ((1,), (3,), (1,))
+    assert alg.mul(d.embed(), d.embed()) == alg.one
+    assert d == DiagonalElement(m3z4, good) != DiagonalElement.identity(m3z4)
 
 
 def test_split_then_merge_is_word_identity(m4f2, rng):
@@ -300,13 +302,11 @@ def test_split_and_merge_keep_st_on_multi_cell_blocks(rng):
 def test_merge_map_needs_rank(rng):
     A = MatrixAlgebra(Zmod(2), 3)
     fam = IdempotentFamily.matrix_units(A)
-    coarse, ref = fam.merge(2, 3)
+    _, ref = fam.merge(2, 3)
     ctx = Context(fam)
     w = random_word(ctx, rng, 2)
     with pytest.raises(RankTooSmall):
         g_alpha(w, ref)
-    out = g_alpha(w, ref, epi_only=True)
-    assert out.context.family == coarse
 
 
 def test_express_as_commutators(m4f2, rng):
@@ -332,13 +332,6 @@ def test_express_as_commutators_needs_three_blocks():
         express_as_commutators(ctx, 1, 2, A.unit_matrix(0, 1, 1))
 
 
-def test_word_json_roundtrip(plain, rng):
-    for _ in range(25):
-        w = random_word(plain, rng, rng.randrange(5))
-        back = word_from_json(plain, word_to_json(w))
-        assert back == w
-
-
 BOUNDARY_FAMILIES = {
     "M3-Z4-units": (Zmod(4), 3, None),
     "M4-Z2-[[0,1],[2,3]]": (Zmod(2), 4, [[0, 1], [2, 3]]),
@@ -347,9 +340,8 @@ BOUNDARY_FAMILIES = {
 
 @pytest.mark.parametrize("name", sorted(BOUNDARY_FAMILIES))
 def test_entry_points_refuse_payloads_outside_the_component(name):
-    """gen takes block values and word_from_json takes the n x n wire
-    matrix; both refuse a wire matrix with a nonzero entry off R_ij and a
-    value tuple of the wrong length."""
+    """gen takes block values and refuses a value tuple of the wrong
+    length; word_to_json writes the letter's n x n matrix."""
     base, n, blocks = BOUNDARY_FAMILIES[name]
     A = MatrixAlgebra(base, n)
     fam = IdempotentFamily.matrix_units(A) if blocks is None else IdempotentFamily(A, blocks)
@@ -357,26 +349,12 @@ def test_entry_points_refuse_payloads_outside_the_component(name):
     rng = random.Random(11)
     one = base.element(1)
     for i, j in ((1, 2), (2, 1)):
-        cells = set(fam.cells(i, j))
         a = fam.sample_component(i, j, rng)
         wire = word_to_json(gen(ctx, i, j, a))
-        assert word_from_json(ctx, wire) == gen(ctx, i, j, a)
         assert wire["letters"][0]["a"] == A.element_to_json(fam.to_matrix(a, i, j))
-        for r in range(n):
-            for c in range(n):
-                if (r, c) in cells:
-                    continue
-                bad = [list(row) for row in wire["letters"][0]["a"]]
-                bad[r][c] = 1
-                item = dict(wire["letters"][0], a=bad)
-                with pytest.raises(SideConditionViolated):
-                    word_from_json(ctx, dict(wire, letters=[item]))
         for values in (a[:-1], a + (one,), ()):
             with pytest.raises(SideConditionViolated):
                 gen(ctx, i, j, values)
-            item = dict(wire["letters"][0], a=list(values))
-            with pytest.raises(SideConditionViolated):
-                word_from_json(ctx, dict(wire, letters=[item]))
 
 
 @settings(max_examples=60, deadline=None)

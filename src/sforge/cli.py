@@ -320,11 +320,8 @@ def build_parser():
         sp.add_argument("--seed", type=int, help="override the config seed")
         sp.add_argument("--samples", type=int, help="override the sample count")
         sp.add_argument("--out", help="directory for run reports")
-        sp.add_argument(
-            "--exhaustive",
-            action="store_true",
-            help="enumerate instead of sampling where supported",
-        )
+        if name in ("relations", "gauss"):
+            sp.add_argument("--exhaustive", action="store_true", help="enumerate, not sample")
         if _FAULTS[name]:
             sp.add_argument(
                 "--inject-fault",

@@ -57,9 +57,12 @@ class GaussFactorization:
     def to_json(self):
         from .words import word_to_json
 
-        alg = self.d.family.algebra
+        fam = self.d.family
         return {
-            "d": [alg.element_to_json(u) for u in self.d.components],
+            "d": [
+                fam.algebra.element_to_json(fam.to_matrix(u, t, t))
+                for t, u in enumerate(self.d.blocks, start=1)
+            ],
             "w_minus": word_to_json(self.w_minus)["letters"],
             "w_plus": word_to_json(self.w_plus)["letters"],
             "w_plus2": word_to_json(self.w_plus2)["letters"],
@@ -253,7 +256,7 @@ def gauss_decompose(fam, g):
         Word(ctx, tuple(p1)),
         Word(ctx, tuple(m1)),
         Word(ctx, tuple(p2)),
-        DiagonalElement(fam, [fam.to_matrix(v, t, t) for t, v in zip(fam.labels(), d)]),
+        DiagonalElement(fam, d),
     )
     if not fac.check(g):
         raise SforgeError("internal error: factorization failed verification")

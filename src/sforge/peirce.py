@@ -8,7 +8,10 @@ An element of a Peirce component R_ij = e_i R e_j is stored as its block
 values: the tuple of its entries at cells(i, j), the |block i| x |block j|
 positions of the component, row by row.  project() reads those values off
 an n x n matrix, to_matrix() puts them back, and block_mul() multiplies
-two components without forming either matrix.
+two components without forming either matrix.  cell_index(), where the
+cells of one component sit among those of a larger one, is the one
+positional restriction.  corner_inv() is also the corner unit test: a
+corner is a unit exactly when it inverts.
 
 Each ordered pair (i, j) carries Morita witnesses: pairs (x_p, y_p) with
 x_p in R_ij, y_p in R_ji and sum_p x_p y_p = e_i.  They certify
@@ -21,7 +24,7 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .rings import MatrixAlgebra, SforgeError
+from .rings import MatrixAlgebra, SforgeError, is_json_int
 
 
 class BadFamily(SforgeError):
@@ -48,17 +51,6 @@ class IdempotentFamily:
         self.algebra = algebra
         self.blocks = blocks
         self.n = len(blocks)
-        base = algebra.base
-        self._idem = tuple(
-            tuple(
-                tuple(
-                    base.one if (r == c and r in blk) else base.zero
-                    for c in range(algebra.n)
-                )
-                for r in range(algebra.n)
-            )
-            for blk in blocks
-        )
         self._witnesses = {}
         self._cells = {}
         self._tuple_positions = {}
@@ -73,7 +65,8 @@ class IdempotentFamily:
         return range(1, self.n + 1)
 
     def idempotent(self, i):
-        return self._idem[i - 1]
+        """e_i, the diagonal 0/1 matrix of block i."""
+        return self.to_matrix(self.project(self.algebra.one, i, i), i, i)
 
     def support(self, i):
         return self.blocks[i - 1]
@@ -115,25 +108,22 @@ class IdempotentFamily:
             out[r][c] = v
         return tuple(map(tuple, out))
 
-    def restrict(self, a, I, J, i, j):
-        """The block values of e_i a e_j, for block values a of R_IJ.
+    def cell_index(self, I, J, i, j):
+        """Where each cell of (i, j) sits among the cells of (I, J).
 
         I and J are tuples of labels, or labels, with i in I and j in J.
-        Where each cell of (i, j) sits among the cells of (I, J) is found
-        on first use and cached.
+        Found on first use and cached.
         """
         got = self._inner.get((I, J, i, j))
         if got is None:
             at = {cell: t for t, cell in enumerate(self.cells(I, J))}
             got = tuple(at[cell] for cell in self.cells(i, j))
             self._inner[(I, J, i, j)] = got
-        return tuple([a[t] for t in got])
+        return got
 
-    def contains(self, a, i, j):
-        """Is the n x n matrix a in R_ij, that is, zero off the cells of (i, j)?"""
-        zero = self.algebra.base.zero
-        nonzero = sum(x != zero for row in a for x in row)
-        return nonzero == sum(a[r][c] != zero for r, c in self.cells(i, j))
+    def restrict(self, a, I, J, i, j):
+        """The block values of e_i a e_j, for block values a of R_IJ."""
+        return tuple([a[t] for t in self.cell_index(I, J, i, j)])
 
     def is_zero(self, a):
         """Are the block values a all zero?"""
@@ -202,28 +192,18 @@ class IdempotentFamily:
         pool = list(self.algebra.base.elements())
         return tuple([rng.choice(pool) for _ in self.cells(i, j)])
 
-    def corner_is_unit(self, u, i):
-        """Are the block values u of R_ii invertible in the corner ring e_i R e_i?
-
-        i may be a tuple of labels, as in cells().
-        """
-        alg, block = self._corner(u, i)
-        return alg.is_unit(block)
-
     def corner_inv(self, u, i):
-        """The block values of the inverse of u inside the corner e_i R e_i;
-        raises NotInvertible.  i may be a tuple of labels."""
-        alg, block = self._corner(u, i)
-        return tuple([x for row in alg.inv(block) for x in row])
+        """The block values of the inverse of u inside the corner e_i R e_i.
 
-    def _corner(self, u, i):
-        """(M(k, base) for the k positions of i, the k x k matrix of the
-        block values u of R_ii)."""
+        Raises NotInvertible when u is not a corner unit, so inverting is
+        also the unit test.  i may be a tuple of labels, as in cells().
+        """
         k = len(self._positions(i))
         alg = self._corner_algebras.get(k)
         if alg is None:
             alg = self._corner_algebras[k] = MatrixAlgebra(self.algebra.base, k)
-        return alg, tuple(tuple(u[r * k:(r + 1) * k]) for r in range(k))
+        block = tuple(tuple(u[r * k:(r + 1) * k]) for r in range(k))
+        return tuple([x for row in alg.inv(block) for x in row])
 
     def merge(self, p, q):
         """Merge blocks p and q; the merged class is placed last.
@@ -264,7 +244,9 @@ class Refinement:
 
     Both families share the algebra, so a fine component R_ij sits inside
     the coarse component of its classes; restrict() and extend() move block
-    values between the two.
+    values between the two.  fine_of sends a coarse label to the tuple of
+    fine labels in its class, whose cells are the coarse cells, since
+    blocks are sorted on construction.
     """
 
     def __init__(self, fine, coarse, fine_pair, label_map):
@@ -272,40 +254,38 @@ class Refinement:
         self.coarse = coarse
         self.fine_pair = fine_pair
         self.label_map = label_map
-        self.fine_of = {}
-        for f, c in label_map.items():
-            self.fine_of.setdefault(c, []).append(f)
-        for c in self.fine_of:
-            self.fine_of[c].sort()
-        self._where = {}
+        self.fine_of = {
+            c: tuple(sorted(f for f in label_map if label_map[f] == c))
+            for c in coarse.labels()
+        }
 
-    def _index(self, i, j):
-        """Where each fine cell of (i, j) sits among the coarse cells."""
-        got = self._where.get((i, j))
-        if got is None:
-            coarse = self.coarse.cells(self.label_map[i], self.label_map[j])
-            at = {cell: t for t, cell in enumerate(coarse)}
-            got = self._where[(i, j)] = tuple(at[cell] for cell in self.fine.cells(i, j))
-        return got
+    def _classes(self, i, j):
+        return self.fine_of[self.label_map[i]], self.fine_of[self.label_map[j]]
 
     def restrict(self, a, i, j):
         """The fine block values e_i a e_j of coarse block values a."""
-        return tuple([a[t] for t in self._index(i, j)])
+        return self.fine.restrict(a, *self._classes(i, j), i, j)
 
     def extend(self, a, i, j):
         """The coarse block values of fine block values a of R_ij."""
-        I, J = self.label_map[i], self.label_map[j]
-        out = [self.fine.algebra.base.zero] * len(self.coarse.cells(I, J))
-        for t, v in zip(self._index(i, j), a):
+        I, J = self._classes(i, j)
+        out = [self.fine.algebra.base.zero] * len(self.fine.cells(I, J))
+        for t, v in zip(self.fine.cell_index(I, J, i, j), a):
             out[t] = v
         return tuple(out)
 
 
 def family_from_json(algebra, obj):
+    """The family of a config: "units", or a list of blocks of positions,
+    bare or as {"blocks": [...]}; every position must be a JSON integer."""
     if obj == "units":
         return IdempotentFamily.matrix_units(algebra)
     if isinstance(obj, dict):
         obj = obj.get("blocks")
+    if not isinstance(obj, list) or not all(
+        isinstance(b, list) and all(map(is_json_int, b)) for b in obj
+    ):
+        raise BadFamily("blocks must be lists of integer positions, got %r" % (obj,))
     return IdempotentFamily(algebra, obj)
 
 

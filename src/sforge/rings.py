@@ -16,10 +16,11 @@ q = p^d, after which every field operation is a lookup.
 
 Matrix algebras are flat: their base is Zmod or GF, and M(n, M(k, A)) is
 written as M(nk, A) with a block family.  Determinants and inverses cost
-O(n^3) base operations, by exact elimination: over Z/m, unimodular 2x2
-row steps built from the extended gcd of two entries triangularise the
-matrix (one loop covers prime powers and mixed moduli, with no CRT
-split); over GF, Gauss-Jordan with a nonzero pivot.
+O(n^3) base operations, by one exact elimination: a unit pivot where the
+column has one, else, over Z/m, a unimodular 2x2 row step built from the
+extended gcd of two entries (one loop covers prime powers and mixed
+moduli, with no CRT split).  The determinant is the signed product of
+the diagonal it leaves, and the inverse one back-substitution on [a | 1].
 """
 
 from __future__ import annotations
@@ -390,75 +391,82 @@ def _xgcd(a, b):
     return a, s0, t0
 
 
-def _zmod_triangularise(rows, n, m, need_units):
-    """Clear the first n columns of rows below the diagonal over Z/m, in place.
+def _triangularise(base, rows, n, need_units):
+    """Clear the first n columns of rows below the diagonal, in place.
 
-    rows holds integer representatives in range(m).  A unit pivot, when
-    column k has one, is swapped up and clears each row below it with one
-    row update.  Otherwise each entry b below the pivot a is cleared by the
-    2x2 step [[s, t], [-b/g, a/g]] with g = gcd(a, b) = s*a + t*b, which
-    has determinant 1 and leaves g on the diagonal; this covers Z/p^k and
+    Column k takes a unit pivot when it has one from row k down: that row
+    is swapped up and clears each row below it with one row update.  Over
+    a field this is every nonzero column.  Otherwise, over Z/m, each entry
+    b below the pivot a is cleared by the 2x2 step [[s, t], [-b/g, a/g]]
+    on integer representatives, with g = gcd(a, b) = s*a + t*b; it has
+    determinant 1 and leaves g on the diagonal, which covers Z/p^k and
     mixed moduli alike.  The determinant of the leading n x n block is
     therefore sign times the product of the diagonal; sign is returned.
     With need_units, raises NotInvertible as soon as a diagonal entry is
-    not a unit modulo m.
+    not a unit.
     """
+    is_unit = base.is_unit
+    m = base.m if isinstance(base, Zmod) else None
     sign = 1
     for k in range(n):
-        r = next((r for r in range(k, n) if math.gcd(rows[r][k], m) == 1), None)
-        if r is not None:
-            if r != k:
-                rows[k], rows[r] = rows[r], rows[k]
-                sign = -sign
-            rk = rows[k]
-            a_inv = pow(rk[k], -1, m)
-            for i in range(k + 1, n):
-                f = rows[i][k] * a_inv % m
-                if f:
-                    rows[i] = [(y - f * x) % m for x, y in zip(rk, rows[i])]
-            continue
-        rk = rows[k]
-        a = rk[k]
-        for i in range(k + 1, n):
-            ri = rows[i]
-            b = ri[k]
-            if not b:
-                continue
-            g, s, t = _xgcd(a, b)
-            p, q = a // g, b // g
-            rk, rows[i] = (
-                [(s * x + t * y) % m for x, y in zip(rk, ri)],
-                [(p * y - q * x) % m for x, y in zip(rk, ri)],
-            )
-            a = rk[k]
-        rows[k] = rk
-        if need_units and math.gcd(a, m) != 1:
-            raise NotInvertible("matrix determinant is not a unit")
+        for r in range(k, n):
+            if is_unit(rows[r][k]):
+                if r != k:
+                    rows[k], rows[r] = rows[r], rows[k]
+                    sign = -sign
+                if k + 1 < n:
+                    _clear_column(base, rows, k, range(k + 1, n), base.inv(rows[k][k]))
+                break
+        else:
+            if m is not None:
+                rk = rows[k]
+                a = rk[k]
+                for i in range(k + 1, n):
+                    ri = rows[i]
+                    b = ri[k]
+                    if not b:
+                        continue
+                    g, s, t = _xgcd(a, b)
+                    p, q = a // g, b // g
+                    rk, rows[i] = (
+                        [(s * x + t * y) % m for x, y in zip(rk, ri)],
+                        [(p * y - q * x) % m for x, y in zip(rk, ri)],
+                    )
+                    a = rk[k]
+                rows[k] = rk
+            if need_units and not is_unit(rows[k][k]):
+                raise NotInvertible("matrix determinant is not a unit")
     return sign
 
 
-def _field_pivot(F, rows, k, n):
-    """Swap a row with a nonzero entry in column k up to row k.
+def _clear_column(base, rows, k, targets, pivot_inv):
+    """Row i -= (row i [k] * pivot_inv) * row k for each target row i, in place.
 
-    Returns -1 for a swap, 1 for none, and 0 when the column is zero from
-    row k down.
+    pivot_inv is the inverse of row k's entry in column k, and row k is
+    zero before column k, so each target's entry in column k becomes zero.
+    Over Z/m each updated row is rebuilt in one list comprehension;
+    otherwise that entry is set to zero and only the nonzero entries of
+    row k after it are read.
     """
-    for r in range(k, n):
-        if rows[r][k] != F.zero:
-            if r == k:
-                return 1
-            rows[k], rows[r] = rows[r], rows[k]
-            return -1
-    return 0
-
-
-def _sub_multiple(F, target, source, f, start):
-    """target[c] -= f * source[c] for every column c >= start, in place."""
-    zero = F.zero
-    for c in range(start, len(source)):
-        x = source[c]
-        if x != zero:
-            target[c] = F.sub(target[c], F.mul(f, x))
+    rk = rows[k]
+    if isinstance(base, Zmod):
+        m = base.m
+        for i in targets:
+            f = rows[i][k] * pivot_inv % m
+            if f:
+                rows[i] = [(y - f * x) % m for x, y in zip(rk, rows[i])]
+        return
+    zero, sub, mul = base.zero, base.sub, base.mul
+    columns = range(k + 1, len(rk))
+    for i in targets:
+        ri = rows[i]
+        if ri[k] != zero:
+            f = mul(ri[k], pivot_inv)
+            ri[k] = zero
+            for c in columns:
+                x = rk[c]
+                if x != zero:
+                    ri[c] = sub(ri[c], mul(f, x))
 
 
 class MatrixAlgebra:
@@ -628,33 +636,15 @@ class MatrixAlgebra:
         return tuple(tuple(base.scalar_mul(s, x) for x in row) for row in a)
 
     def det(self, a):
-        """The determinant, by elimination: O(n^3).
-
-        Over Z/m, unimodular gcd row steps on integer representatives
-        triangularise it, and the determinant is the signed product of the
-        diagonal.  Over a field, Gauss elimination with a nonzero pivot.
-        """
+        """The determinant, by elimination: O(n^3); the signed product of
+        the diagonal that _triangularise leaves."""
+        base = self.base
         rows = [list(r) for r in a]
-        n = self.n
-        m = self._mod
-        if m is not None:
-            d = _zmod_triangularise(rows, n, m, need_units=False)
-            for k in range(n):
-                d = d * rows[k][k] % m
-            return d % m
-        F = self.base
-        d = F.one
-        for k in range(n):
-            sign = _field_pivot(F, rows, k, n)
-            if not sign:
-                return F.zero
-            rk = rows[k]
-            d = F.mul(d, rk[k] if sign > 0 else F.neg(rk[k]))
-            pivot_inv = F.inv(rk[k])
-            for i in range(k + 1, n):
-                if rows[i][k] != F.zero:
-                    _sub_multiple(F, rows[i], rk, F.mul(rows[i][k], pivot_inv), k)
-        return d
+        sign = _triangularise(base, rows, self.n, need_units=False)
+        d = base.one
+        for k, row in enumerate(rows):
+            d = base.mul(d, row[k])
+        return d if sign > 0 else base.neg(d)
 
     def is_unit(self, a):
         return self.base.is_unit(self.det(a))
@@ -662,35 +652,22 @@ class MatrixAlgebra:
     def inv(self, a):
         """The inverse, by elimination on [a | 1]: O(n^3).
 
-        Over Z/m the gcd row steps of det triangularise [a | 1]; the
-        inverse exists exactly when every diagonal entry is a unit, and
-        NotInvertible is raised at the first that is not.  Scaling each row
-        by its diagonal inverse and back-substituting leaves the inverse on
-        the right.  Over a field, Gauss-Jordan with a nonzero pivot.
+        _triangularise clears [a | 1] below the diagonal and raises
+        NotInvertible at the first diagonal entry that is not a unit; one
+        back-substitution clears it above, and dividing each row by its
+        diagonal entry leaves the inverse on the right.
         """
         n = self.n
+        base = self.base
         rows = [list(r) + list(e) for r, e in zip(a, self.one)]
-        m = self._mod
-        if m is not None:
-            _zmod_triangularise(rows, n, m, need_units=True)
-            for k in reversed(range(n)):
-                d_inv = pow(rows[k][k], -1, m)
-                rk = rows[k] = [x * d_inv % m for x in rows[k]]
-                for i in range(k):
-                    f = rows[i][k]
-                    if f:
-                        rows[i] = [(y - f * x) % m for x, y in zip(rk, rows[i])]
-            return tuple(tuple(r[n:]) for r in rows)
-        F = self.base
-        for k in range(n):
-            if not _field_pivot(F, rows, k, n):
-                raise NotInvertible("matrix determinant is not a unit")
-            pivot_inv = F.inv(rows[k][k])
-            rk = rows[k] = [F.mul(pivot_inv, x) if x != F.zero else x for x in rows[k]]
-            for i in range(n):
-                if i != k and rows[i][k] != F.zero:
-                    _sub_multiple(F, rows[i], rk, rows[i][k], k)
-        return tuple(tuple(r[n:]) for r in rows)
+        _triangularise(base, rows, n, need_units=True)
+        mul = base.mul
+        for k in reversed(range(n)):
+            d_inv = base.inv(rows[k][k])
+            if k:
+                _clear_column(base, rows, k, range(k), d_inv)
+            rows[k] = tuple([mul(d_inv, x) for x in rows[k][n:]])
+        return tuple(rows)
 
     def to_json(self):
         return {"base": self.base.to_json(), "kind": "Mat", "size": self.n}

@@ -28,7 +28,7 @@ inverted or multiplied.
 from __future__ import annotations
 
 from .peirce import IdempotentFamily, morita_decompose
-from .rings import MatrixAlgebra, SforgeError, localize_finite, random_element
+from .rings import MatrixAlgebra, NotInvertible, SforgeError, localize_finite, random_element
 from .words import (
     Context,
     Letter,
@@ -288,18 +288,17 @@ class DiagActor:
             raise NonInvertibleComponent("numerator not in corner %d" % i)
         loc = tower.localized()
         sl = loc.scalar_loc
-        block_loc = tuple(map(sl.psi, block))
-        if not loc.family.corner_is_unit(block_loc, i):
-            raise NonInvertibleComponent("numerator not invertible after localization")
+        try:
+            inv_loc = loc.family.corner_inv(tuple(map(sl.psi, block)), i)
+        except NotInvertible:
+            raise NonInvertibleComponent("numerator not invertible after localization") from None
         self.tower = tower
         self.i = i
         self.den = den
         self.block = block
         # lift of s^den * num^{-1} from the localized corner
         sd = sl.psi(tower.scale(den))
-        self.inv_block = tuple(
-            sl.lift(sl.ring.scalar_mul(sd, x)) for x in loc.family.corner_inv(block_loc, i)
-        )
+        self.inv_block = tuple(sl.lift(sl.ring.scalar_mul(sd, x)) for x in inv_loc)
 
     def inverse(self):
         """d_i of the lifted localized inverse, at denominator zero."""

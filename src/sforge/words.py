@@ -4,10 +4,12 @@ A word is a finite sequence of letters x_ij(a) with a in the Peirce
 component R_ij of the family.  A letter's payload a is its block values:
 the tuple of its |block i| * |block j| entries at fam.cells(i, j), row by
 row, never an n x n matrix.  Letters are evaluated, inverted, conjugated
-and multiplied on those values; matrices appear only as st images, as
-diagonal elements, and on the wire.  st_eval hands each letter's cells
-and block values to MatrixAlgebra.add_column_multiples in sforge.rings,
-the one column update for the plain product and the homotope fold.
+and multiplied on those values; matrices appear only as st images and
+on the wire.  A DiagonalElement is likewise the block values of its
+corner units, with their inverses computed once, on construction.
+st_eval hands each letter's cells and block values to
+MatrixAlgebra.add_column_multiples in sforge.rings, the one column
+update for the plain product and the homotope fold.
 The relation checks build an instance's two sides through one path,
 _relation_sides, from validated letters paired with their negations;
 the exhaustive grid builds each component element's letter once per
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .peirce import IndexClash, morita_decompose
-from .rings import SforgeError
+from .rings import NotInvertible, SforgeError
 
 
 class NotUnipotentSupport(SforgeError):
@@ -408,67 +410,55 @@ def _relation_sides(ctx, kind, first, second, fault=None):
 
 
 class DiagonalElement:
-    """An invertible diagonal element (u_1, ..., u_n), u_i a unit of e_i R e_i.
+    """An invertible diagonal element (u_1, ..., u_n), u_t a unit of e_t R e_t.
 
-    The components are n x n matrices, as GL-side values; blocks() and
-    inverse_blocks() give the block values of each u_t and u_t^-1 on R_tt,
-    which is what acting on letters needs.
+    blocks holds the block values of each u_t on R_tt, and inverse_blocks
+    those of each u_t^-1, which is what acting on letters needs.  Both are
+    fixed on construction: a corner is a unit exactly when it inverts, so
+    each is eliminated once, and one that does not invert raises
+    NonInvertibleComponent.
     """
 
-    __slots__ = ("family", "components", "_blocks", "_inv_blocks")
+    __slots__ = ("family", "blocks", "inverse_blocks")
 
-    def __init__(self, family, components, validate=True):
-        components = tuple(components)
-        if len(components) != family.n:
+    def __init__(self, family, blocks):
+        blocks = tuple(map(tuple, blocks))
+        if len(blocks) != family.n:
             raise NonInvertibleComponent("need one component per block")
+        inverse = []
+        for t, u in enumerate(blocks, start=1):
+            if len(u) != len(family.cells(t, t)):
+                raise NonInvertibleComponent("component %d not in its corner" % t)
+            try:
+                inverse.append(family.corner_inv(u, t))
+            except NotInvertible:
+                raise NonInvertibleComponent("component %d not a corner unit" % t) from None
         self.family = family
-        self.components = components
-        self._blocks = self._inv_blocks = None
-        if validate:
-            for t, (u, b) in enumerate(zip(components, self.blocks()), start=1):
-                if not family.contains(u, t, t):
-                    raise NonInvertibleComponent("component %d not in its corner" % t)
-                if not family.corner_is_unit(b, t):
-                    raise NonInvertibleComponent("component %d not a corner unit" % t)
+        self.blocks = blocks
+        self.inverse_blocks = tuple(inverse)
 
     @classmethod
     def identity(cls, family):
-        return cls(family, [family.idempotent(t) for t in family.labels()], validate=False)
+        return cls(family, [family.project(family.algebra.one, t, t) for t in family.labels()])
 
     def embed(self):
-        alg = self.family.algebra
-        acc = alg.zero
-        for u in self.components:
-            acc = alg.add(acc, u)
-        return acc
-
-    def blocks(self):
-        """The block values of each u_t on R_tt."""
-        if self._blocks is None:
-            fam = self.family
-            self._blocks = tuple(
-                fam.project(u, t, t) for t, u in enumerate(self.components, start=1)
-            )
-        return self._blocks
-
-    def inverse_blocks(self):
-        """The block values of each corner inverse u_t^-1 on R_tt."""
-        if self._inv_blocks is None:
-            fam = self.family
-            self._inv_blocks = tuple(
-                fam.corner_inv(b, t) for t, b in enumerate(self.blocks(), start=1)
-            )
-        return self._inv_blocks
+        """The n x n matrix u_1 + ... + u_n."""
+        fam = self.family
+        out = [list(row) for row in fam.algebra.zero]
+        for t, u in enumerate(self.blocks, start=1):
+            for (r, c), v in zip(fam.cells(t, t), u):
+                out[r][c] = v
+        return tuple(map(tuple, out))
 
     def __eq__(self, other):
         return (
             isinstance(other, DiagonalElement)
             and other.family == self.family
-            and other.components == self.components
+            and other.blocks == self.blocks
         )
 
     def __hash__(self):
-        return hash((self.family, self.components))
+        return hash((self.family, self.blocks))
 
 
 def diag_act(d, w):
@@ -481,8 +471,7 @@ def diag_act(d, w):
     fam = w.context.family
     if d.family != fam:
         raise SforgeError("diagonal element belongs to a different family")
-    us = d.blocks()
-    vs = d.inverse_blocks()
+    us, vs = d.blocks, d.inverse_blocks
     mul = fam.block_mul
     out = tuple(
         Letter(

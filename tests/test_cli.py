@@ -13,6 +13,7 @@ from sforge.cli import EXHAUSTIVE_GAUSS_MAX, main
 M3Z4 = {"kind": "Mat", "size": 3, "base": {"kind": "Zmod", "m": 4}}
 M3Z12 = {"kind": "Mat", "size": 3, "base": {"kind": "Zmod", "m": 12}}
 M2F2 = {"kind": "Mat", "size": 2, "base": {"kind": "Zmod", "m": 2}}
+M2Z4 = {"kind": "Mat", "size": 2, "base": {"kind": "Zmod", "m": 4}}
 
 
 def write_config(tmp_path, name, payload):
@@ -149,6 +150,11 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         tmp_path, "many.json", {"ring": M3Z4, "scale": 2, "k_max": "many"}
     )
     assert main(["tower", "--config", many]) == 2
+
+    for blocks in ([[False], [True]], [[0.0], [1]]):
+        family = write_config(tmp_path, "fam.json", {"ring": M2Z4, "family": blocks})
+        assert main(["relations", "--config", family]) == 2
+        assert "bad family descriptor" in capsys.readouterr().err
     capsys.readouterr()
 
 
@@ -180,6 +186,15 @@ def test_gauss_rejects_fault_flag(tmp_path, capsys):
     cfg = write_config(tmp_path, "g.json", {"ring": M2F2})
     with pytest.raises(SystemExit):
         main(["gauss", "--config", cfg, "--inject-fault", "anything"])
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["crossed-module", "tower"])
+def test_exhaustive_flag_only_where_read(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, "c.json", {"ring": M2F2, "scale": 1})
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--exhaustive"])
+    assert exc.value.code == 2
     capsys.readouterr()
 
 

@@ -294,7 +294,7 @@ def _assert_matches_dense(fam, g):
     assert fac.w_plus.letters == tuple(p1)
     assert fac.w_minus.letters == tuple(m1)
     assert fac.w_plus2.letters == tuple(p2)
-    assert fac.d == DiagonalElement(fam, [dcomp[t] for t in fam.labels()])
+    assert fac.d == DiagonalElement(fam, [fam.project(dcomp[t], t, t) for t in fam.labels()])
 
 
 @pytest.mark.parametrize(

@@ -155,8 +155,6 @@ def test_projection_reads_the_cached_cells():
 
     for m in itertools.islice(alg.elements(), 0, None, 7):
         assert cut(m, (1, 2), (2,)) == alg.add(cut(m, 1, 2), cut(m, 2, 2))
-        for i, j in itertools.product(fam.labels(), repeat=2):
-            assert fam.contains(m, i, j) == (cut(m, i, j) == m)
 
 
 @pytest.mark.parametrize("fam", [M2GF4, IdempotentFamily.matrix_units(MatrixAlgebra(Zmod(12), 4))])
@@ -188,7 +186,7 @@ def corner_unit_diagonals(fam):
         for u in fam.component_elements(t, t):
             U = fam.to_matrix(u, t, t)
             if alg.is_unit(alg.add(U, outside)):
-                units.append(U)
+                units.append(u)
         per_corner.append(units)
     return [DiagonalElement(fam, comps) for comps in itertools.product(*per_corner)]
 
@@ -225,8 +223,8 @@ def test_block_kernels_match_dense_reference(name):
         g_inv = alg.inv(g)
         for L in letters:
             conj = alg.mul(g, alg.mul(dense(fam, L), g_inv))
-            assert fam.contains(conj, L.i, L.j)
             want = Letter(L.i, L.j, fam.project(conj, L.i, L.j))
+            assert fam.to_matrix(want.a, L.i, L.j) == conj
             assert diag_act(d, Word(ctx, (L,))).letters == (want,)
 
     labels = list(fam.labels())

@@ -223,13 +223,9 @@ def test_equal_words_grades(plain, rng):
 
 
 def _random_diagonal(fam, rng):
-    units = [u for u in fam.algebra.base.elements() if fam.algebra.base.is_unit(u)]
-    alg = fam.algebra
-    comps = []
-    for t in fam.labels():
-        u = rng.choice(units)
-        comps.append(alg.scalar_mul(u, fam.idempotent(t)))
-    return DiagonalElement(fam, comps)
+    """A diagonal element of the matrix-unit family: one unit per 1 x 1 corner."""
+    units = fam.algebra.base.units()
+    return DiagonalElement(fam, [(rng.choice(units),) for _ in fam.labels()])
 
 
 def test_diag_act_is_conjugation(plain, rng):
@@ -243,21 +239,48 @@ def test_diag_act_is_conjugation(plain, rng):
         assert st_eval(diag_act(d, w)) == alg.mul(g, alg.mul(st_eval(w), ginv))
 
 
-def test_diagonal_element_validation(m3z4):
-    alg = m3z4.algebra
-    bad = [m3z4.idempotent(t) for t in m3z4.labels()]
-    bad[0] = alg.scalar_mul(alg.base.element(2), bad[0])  # 2 not a unit mod 4
-    with pytest.raises(NonInvertibleComponent):
-        DiagonalElement(m3z4, bad)
-    with pytest.raises(NonInvertibleComponent):
-        DiagonalElement(m3z4, bad[:2])
-    good = [m3z4.idempotent(t) for t in m3z4.labels()]
-    good[1] = alg.scalar_mul(alg.base.element(3), good[1])
-    d = DiagonalElement(m3z4, good)
-    assert d.blocks() == ((1,), (3,), (1,))
-    assert d.inverse_blocks() == ((1,), (3,), (1,))
-    assert alg.mul(d.embed(), d.embed()) == alg.one
-    assert d == DiagonalElement(m3z4, good) != DiagonalElement.identity(m3z4)
+GF4 = GF(2, [1, 1, 1])
+
+# (family, blocks with a singular first corner, corner units)
+DIAGONAL_CASES = [
+    # 2 is not a unit mod 4
+    (
+        IdempotentFamily.matrix_units(MatrixAlgebra(Zmod(4), 3)),
+        [(2,), (1,), (1,)],
+        [(1,), (3,), (1,)],
+    ),
+    # every entry of the 2 x 2 corner is a unit, but the corner is not
+    (
+        IdempotentFamily(MatrixAlgebra(Zmod(4), 3), [[0, 1], [2]]),
+        [(1, 1, 1, 1), (1,)],
+        [(1, 2, 1, 3), (3,)],
+    ),
+    (
+        IdempotentFamily(MatrixAlgebra(GF4, 3), [[0, 1], [2]]),
+        [(GF4.one,) * 4, (GF4.one,)],
+        [(GF4.zero, GF4.one, GF4.one, (0, 1)), ((1, 1),)],
+    ),
+]
+
+
+def test_diagonal_element_validation():
+    for fam, singular, good in DIAGONAL_CASES:
+        alg = fam.algebra
+        with pytest.raises(NonInvertibleComponent, match="component 1 not a corner unit"):
+            DiagonalElement(fam, singular)
+        with pytest.raises(NonInvertibleComponent, match="one component per block"):
+            DiagonalElement(fam, good[:-1])
+        with pytest.raises(NonInvertibleComponent, match="component 2 not in its corner"):
+            DiagonalElement(fam, [good[0], good[1] * 2, *good[2:]])
+        d = DiagonalElement(fam, good)
+        assert d.blocks == tuple(good)
+        inverse = DiagonalElement(fam, d.inverse_blocks)
+        assert alg.mul(d.embed(), inverse.embed()) == alg.one
+        assert inverse.inverse_blocks == d.blocks
+        assert d == DiagonalElement(fam, good) != DiagonalElement.identity(fam)
+        identity = DiagonalElement.identity(fam)
+        assert identity.inverse_blocks == identity.blocks
+        assert identity.embed() == alg.one
 
 
 def test_split_then_merge_is_word_identity(m4f2, rng):

@@ -78,6 +78,4 @@ from .crossed import (
     CrossedModuleAction,
     ad_commutator_path,
     crossed_module_verify,
-    y_commutator,
-    y_lift,
 )

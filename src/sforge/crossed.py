@@ -2,10 +2,11 @@
 module axioms for st.
 
 Ad_g is built from the Gauss lift: with (w_g, d) = lift_to_st(g), the
-image of a word w is w_g * (d acting on w) * w_g^{-1}.  The alternative
-construction conjugates commutator expansions of single letters through
-witness decompositions; both paths must agree under st, for every choice
-of the auxiliary block.
+image of a word w is w_g * (d acting on w) * w_g^{-1}.  The commutator
+path applies Ad_g to each letter of express_as_commutators, the one
+expansion of a letter through witness commutators, so no Ad_g word is
+inverted; both paths must agree under st, for every choice of the
+auxiliary block.
 
 Word equality in the Steinberg group is generally undecided, so each
 axiom records which oracle certified it: plain st comparison, or the
@@ -16,14 +17,12 @@ triangle.
 from __future__ import annotations
 
 from .gauss import lift_to_st, sample_gl
-from .peirce import IndexClash, morita_decompose
-from .rings import SforgeError
 from .words import (
     Context,
     DiagonalElement,
     Word,
-    commutator,
     diag_act,
+    express_as_commutators,
     gen,
     random_word,
     require_blocks,
@@ -62,49 +61,19 @@ class CrossedModuleAction:
         wg, d = self.lift(g)
         return wg * diag_act(d, w) * self._lift_inverses[g]
 
-    def invert_image(self, g, y):
-        """The inverse of y = apply(g, w): w_g (d acting on w)^-1 w_g^-1.
-
-        Only the middle of y is inverted; the cached w_g and w_g^-1 are
-        reused, so no whole Ad_g word is negated letter by letter.
-        """
-        wg, _ = self._lifts[g]
-        n = len(wg)
-        middle = Word(y.context, y.letters[n:len(y) - n])
-        return wg * middle.inverse() * self._lift_inverses[g]
-
-
-def y_lift(action, g, i, j, a):
-    """A word whose st image is g (1 + a) g^{-1}, a in R_ij: the single
-    letter x_ij(a) conjugated by g."""
-    return action.apply(g, gen(action.context, i, j, a))
-
-
-def y_commutator(action, g, i, j, k, a, b):
-    """The commutator of lifts of g t_ij(a) g^{-1} and g t_jk(b) g^{-1}."""
-    if len({i, j, k}) != 3:
-        raise IndexClash("need three distinct block labels")
-    y1 = y_lift(action, g, i, j, a)
-    y2 = y_lift(action, g, j, k, b)
-    return commutator(y1, y2, action.invert_image(g, y1), action.invert_image(g, y2))
-
 
 def ad_commutator_path(action, g, i, k, c, j=None):
-    """Conjugate x_ik(c) by g through witness commutators.
+    """Conjugate x_ik(c) by g through witness commutators: Ad_g of each
+    letter of express_as_commutators(ctx, i, k, c, j), concatenated.
 
-    c is split through the auxiliary block j (smallest valid label by
-    default) and each pair contributes one y-commutator.
+    Ad_g of x_ij(-a) is letter for letter the inverse of Ad_g of x_ij(a),
+    since u_i (-a) u_j^-1 = -(u_i a u_j^-1), so no Ad_g word is inverted.
     """
-    fam = action.family
-    require_blocks(fam, 3, "the commutator path")
-    if j is None:
-        j = min(t for t in fam.labels() if t not in (i, k))
-    if j in (i, k):
-        raise IndexClash("auxiliary label must avoid the endpoints")
-    out = Word(action.context)
-    for a, b in morita_decompose(fam, c, i, j, k):
-        out = out * y_commutator(action, g, i, j, k, a, b)
-    return out
+    ctx = action.context
+    out = []
+    for L in express_as_commutators(ctx, i, k, c, j).letters:
+        out.extend(action.apply(g, Word(ctx, (L,))).letters)
+    return Word(ctx, tuple(out))
 
 
 def _conj(alg, g, g_inv, m):

@@ -220,7 +220,7 @@ class IdempotentFamily:
         label_map = {t: k for k, t in enumerate(keep, start=1)}
         label_map[p] = label_map[q] = len(blocks)
         coarse = IdempotentFamily(self.algebra, blocks)
-        return coarse, Refinement(self, coarse, (p, q), label_map)
+        return coarse, Refinement(self, coarse, label_map)
 
     def to_json(self):
         return {"blocks": [list(b) for b in self.blocks]}
@@ -249,10 +249,9 @@ class Refinement:
     blocks are sorted on construction.
     """
 
-    def __init__(self, fine, coarse, fine_pair, label_map):
+    def __init__(self, fine, coarse, label_map):
         self.fine = fine
         self.coarse = coarse
-        self.fine_pair = fine_pair
         self.label_map = label_map
         self.fine_of = {
             c: tuple(sorted(f for f in label_map if label_map[f] == c))

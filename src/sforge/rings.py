@@ -731,15 +731,13 @@ class Localization:
     ring:  the quotient K' = K/I where I is the stabilized s-power annihilator
     psi:   the projection K -> K'
     lift:  a section K' -> K with psi(lift(x)) == x
-    annihilator: I as a tuple of elements of K
     warning: set when the quotient collapses to the zero ring
     """
 
-    def __init__(self, ring, psi, lift, annihilator, warning=None):
+    def __init__(self, ring, psi, lift, warning=None):
         self.ring = ring
         self.psi = psi
         self.lift = lift
-        self.annihilator = annihilator
         self.warning = warning
 
 
@@ -760,23 +758,19 @@ def localize_finite(K, s):
                 break
             g = nxt
         d = m // g
-        K2 = Zmod(d)
-        annihilator = tuple(k for k in range(m) if k % d == 0)
         warning = None
         if d == 1:
             warning = "scale is nilpotent: localization is the zero ring"
-        return Localization(K2, lambda x: x % d, lambda x: x, annihilator, warning)
+        return Localization(Zmod(d), lambda x: x % d, lambda x: x, warning)
     if isinstance(K, GF):
         if s == K.zero:
-            K2 = Zmod(1)
             return Localization(
-                K2,
+                Zmod(1),
                 lambda x: 0,
                 lambda x: K.zero,
-                tuple(K.elements()),
                 "scale is zero: localization is the zero ring",
             )
-        return Localization(K, lambda x: x, lambda x: x, (K.zero,), None)
+        return Localization(K, lambda x: x, lambda x: x)
     raise SforgeError("localization implemented for Zmod and GF scalars only")
 
 

@@ -27,13 +27,14 @@ inverted or multiplied.
 
 from __future__ import annotations
 
-from .peirce import IdempotentFamily, morita_decompose
+from .peirce import IdempotentFamily
 from .rings import MatrixAlgebra, NotInvertible, SforgeError, localize_finite, random_element
 from .words import (
     Context,
     Letter,
     Word,
     NonInvertibleComponent,
+    express_as_commutators,
     f_alpha,
     gen,
     random_relation_indices,
@@ -334,40 +335,13 @@ class RootActor:
         return "RootActor(i=%d, j=%d, den=%d)" % (self.i, self.j, self.den)
 
 
-def _opposite_root_letters(tower, actor, a, out):
-    """Ad of x_ij(num/s^d) on the opposite letter x_ji(a).
-
-    Route: merge blocks i and j, where the actor becomes a corner element
-    E + v of the merged diagonal with (E + v)^{-1} = E - v; expand a into
-    commutators through the smallest outside block, act on the merged
-    letters, and split back.  Emitted letters already carry the uniform
-    level shift d.  a and the emitted payloads are block values.
-    """
-    fam = tower.family
-    neg = fam.algebra.base.neg
-    i, j, v, d = actor.i, actor.j, actor.block, actor.den
-    aux = min(t for t in fam.labels() if t not in (i, j))
-    for xp, yp in morita_decompose(fam, a, j, aux, i):
-        top = [(i, aux, fam.block_mul(v, i, j, xp, aux)), (j, aux, tower.scale_block(d, xp))]
-        bot = [
-            (aux, i, tower.scale_block(d, yp)),
-            (aux, j, tuple(map(neg, fam.block_mul(yp, aux, i, v, j)))),
-        ]
-        top.sort()
-        bot.sort()
-        emitted = [(r, c, x) for r, c, x in top + bot if not fam.is_zero(x)]
-        for r, c, x in emitted:
-            out.append(Letter(r, c, x))
-        for r, c, x in emitted:
-            out.append(Letter(r, c, tuple(map(neg, x))))
-
-
 def tower_ad(tower, actor, w):
     """Conjugate a level k + den word by the actor, landing at level k.
 
     Letters not meeting the actor's indices take the plain structure map;
     the others follow the localized conjugation formulas with the
-    denominator absorbed into the level shift.
+    denominator absorbed into the level shift.  A root actor x_ij acts on
+    presented_source(tower, actor, w), where no letter sits at (j, i).
     """
     k_src = w.context.level
     if k_src is None:
@@ -391,10 +365,8 @@ def tower_ad(tower, actor, w):
         return Word(tower.context(k), tuple(out))
     i, j, v = actor.i, actor.j, actor.block
     neg = fam.algebra.base.neg
-    for L in w.letters:
-        if (L.i, L.j) == (j, i):
-            _opposite_root_letters(tower, actor, L.a, out)
-        elif L.i == j:
+    for L in presented_source(tower, actor, w).letters:
+        if L.i == j:
             va = mul(v, i, j, L.a, L.j)
             if not fam.is_zero(va):
                 out.append(Letter(i, L.j, va))
@@ -412,28 +384,21 @@ def tower_ad(tower, actor, w):
 def presented_source(tower, actor, w):
     """The word tower_ad actually acts on, letter for letter.
 
-    A letter at the actor's opposite root is not conjugation-stable at
-    positive levels; the action reads it through its commutator
-    presentation over the smallest outside block (at level 0 the
-    presentation and the letter have the same st image).  All other
-    letters are returned unchanged.
+    A letter x_ji(a) at a root actor x_ij's opposite root is not
+    conjugation-stable at positive levels; the action reads it through
+    express_as_commutators(ctx, j, i, a) over the smallest outside block
+    (at level 0 the presentation and the letter have the same st image).
+    All other letters are returned unchanged.
     """
     if not isinstance(actor, RootActor):
         return w
-    fam = tower.family
     i, j = actor.i, actor.j
-    aux = min(t for t in fam.labels() if t not in (i, j))
-    neg = fam.algebra.base.neg
     out = []
     for L in w.letters:
-        if (L.i, L.j) != (j, i):
+        if (L.i, L.j) == (j, i):
+            out.extend(express_as_commutators(w.context, j, i, L.a).letters)
+        else:
             out.append(L)
-            continue
-        for xp, yp in morita_decompose(fam, L.a, j, aux, i):
-            out.append(Letter(j, aux, xp))
-            out.append(Letter(aux, i, yp))
-            out.append(Letter(j, aux, tuple(map(neg, xp))))
-            out.append(Letter(aux, i, tuple(map(neg, yp))))
     return Word(w.context, tuple(out))
 
 
@@ -442,7 +407,9 @@ def ad_equivariance_check(tower, actor, w):
 
     The right side conjugates the presented source word; on words without
     opposite-root letters that word is w itself and the check is the
-    plain equivariance statement.
+    plain equivariance statement.  tower_ad reads the same presented
+    source, so a fault in express_as_commutators cancels out here; that
+    expansion is checked against st of the letter on its own.
     """
     loc = tower.localized()
     out = tower_ad(tower, actor, w)

@@ -182,18 +182,9 @@ def word(ctx, items):
     return out
 
 
-def commutator(w1, w2, w1_inv=None, w2_inv=None):
-    """The word w1 w2 w1^-1 w2^-1.
-
-    A caller that already holds w1^-1 or w2^-1 passes it, and that word
-    is not inverted again.
-    """
-    w = w1 * w2
-    if w1_inv is None:
-        w1_inv = w1.inverse()
-    if w2_inv is None:
-        w2_inv = w2.inverse()
-    return Word(w.context, w.letters + w1_inv.letters + w2_inv.letters)
+def commutator(w1, w2):
+    """The word w1 w2 w1^-1 w2^-1."""
+    return w1 * w2 * w1.inverse() * w2.inverse()
 
 
 def st_eval(w):
@@ -516,37 +507,24 @@ def g_alpha(w, ref):
     """Push a word over the fine family down to the coarse (merged) family.
 
     Letters not touching both merged labels map to their coarse classes
-    with the same payload.  A letter between the merged labels expands,
-    through Morita witnesses at the smallest outside label, into a product
-    of commutators of off-diagonal letters.  Splitting is a group inverse
-    to this map when the fine family has at least 4 blocks.
+    with the same payload.  A letter between the merged labels is first
+    replaced by the letters of express_as_commutators at the smallest
+    outside label, which then map the same way.  Splitting is a group
+    inverse to this map when the fine family has at least 4 blocks.
     """
     require_blocks(ref.fine, 4, "the merge map")
     if w.context.family != ref.fine:
         raise SforgeError("word does not live over the fine family")
-    neg = ref.fine.algebra.base.neg
     ctx_coarse = Context(ref.coarse, w.context.scale, w.context.level)
-    p, q = ref.fine_pair
     lm = ref.label_map
-    aux = min(t for t in ref.fine.labels() if t not in (p, q))
     out = []
     for L in w.letters:
-        I, J = lm[L.i], lm[L.j]
-        if I != J:
-            out.append(Letter(I, J, ref.extend(L.a, L.i, L.j)))
-            continue
-        AUX = lm[aux]
-        for x, y in morita_decompose(ref.fine, L.a, L.i, aux, L.j):
-            x = ref.extend(x, L.i, aux)
-            y = ref.extend(y, aux, L.j)
-            out.extend(
-                (
-                    Letter(I, AUX, x),
-                    Letter(AUX, J, y),
-                    Letter(I, AUX, tuple(map(neg, x))),
-                    Letter(AUX, J, tuple(map(neg, y))),
-                )
-            )
+        if lm[L.i] == lm[L.j]:
+            letters = express_as_commutators(w.context, L.i, L.j, L.a).letters
+        else:
+            letters = (L,)
+        for x in letters:
+            out.append(Letter(lm[x.i], lm[x.j], ref.extend(x.a, x.i, x.j)))
     return Word(ctx_coarse, tuple(out))
 
 

@@ -14,8 +14,6 @@ from sforge import (
     random_word,
     sample_gl,
     st_eval,
-    y_commutator,
-    y_lift,
 )
 
 
@@ -47,9 +45,10 @@ def test_lift_cache_is_deterministic(m3z4, rng):
 
 @pytest.mark.parametrize("drop_diagonal", [False, True])
 def test_lift_words_are_inverted_once(m3z4, rng, monkeypatch, drop_diagonal):
-    """apply inverts w_g when it caches the lift, never again; the inverse
-    of an Ad_g word, rebuilt from its middle, is letter for letter its
-    inverse, and y_commutator is the commutator of the two Ad_g words."""
+    """apply inverts w_g when it caches the lift, never again; the
+    commutator path is Ad_g of each letter of the expansion, concatenated,
+    and inverts no word, yet each commutator's second half is letter for
+    letter the inverse of its first."""
     alg = m3z4.algebra
     action = CrossedModuleAction(m3z4, drop_diagonal=drop_diagonal)
     ctx = action.context
@@ -67,19 +66,19 @@ def test_lift_words_are_inverted_once(m3z4, rng, monkeypatch, drop_diagonal):
     for _ in range(40):
         g = rng.choice(gs)
         w = random_word(ctx, rng, rng.randrange(4))
-        y = action.apply(g, w)
+        action.apply(g, w)
+        i, k = rng.sample(list(m3z4.labels()), 2)
+        c = m3z4.sample_component(i, k, rng)
+        path = ad_commutator_path(action, g, i, k, c)
+        images = [
+            action.apply(g, Word(ctx, (L,)))
+            for L in express_as_commutators(ctx, i, k, c).letters
+        ]
+        assert path.letters == tuple(L for y in images for L in y.letters)
+        for p in range(0, len(images), 4):
+            assert images[p + 2].letters == original(images[p]).letters
+            assert images[p + 3].letters == original(images[p + 1]).letters
         assert not inverted
-        y_inv = action.invert_image(g, y)
-        assert y_inv.letters == original(y).letters
-        assert inverted == [len(w)]
-        del inverted[:]
-        i, j, k = rng.sample(list(m3z4.labels()), 3)
-        a = m3z4.sample_component(i, j, rng)
-        b = m3z4.sample_component(j, k, rng)
-        y1, y2 = y_lift(action, g, i, j, a), y_lift(action, g, j, k, b)
-        want = y1.letters + y2.letters + original(y1).letters + original(y2).letters
-        assert y_commutator(action, g, i, j, k, a, b).letters == want
-        del inverted[:]
 
 
 def test_y_lift_agrees_across_base_points(m3z4, rng):
@@ -89,30 +88,11 @@ def test_y_lift_agrees_across_base_points(m3z4, rng):
         g = sample_gl(alg, rng)
         i, j = rng.sample(list(m3z4.labels()), 2)
         a = m3z4.sample_component(i, j, rng)
-        plain = y_lift(action, g, i, j, a)
+        plain = action.apply(g, gen(action.context, i, j, a))
         alt = action.apply(g, express_as_commutators(action.context, i, j, a))
         want = _conj(alg, g, alg.add(alg.one, m3z4.to_matrix(a, i, j)))
         assert st_eval(plain) == want
         assert st_eval(alt) == want
-
-
-def test_y_commutator_is_biadditive_under_st(m3z4, rng):
-    alg = m3z4.algebra
-    action = CrossedModuleAction(m3z4)
-    for _ in range(40):
-        g = sample_gl(alg, rng)
-        i, j, k = rng.sample(list(m3z4.labels()), 3)
-        a1 = m3z4.sample_component(i, j, rng)
-        a2 = m3z4.sample_component(i, j, rng)
-        b = m3z4.sample_component(j, k, rng)
-        a12 = tuple(map(alg.base.add, a1, a2))
-        lhs = y_commutator(action, g, i, j, k, a12, b)
-        rhs = y_commutator(action, g, i, j, k, a1, b) * y_commutator(
-            action, g, i, j, k, a2, b
-        )
-        assert st_eval(lhs) == st_eval(rhs)
-    with pytest.raises(IndexClash):
-        y_commutator(action, alg.one, 1, 1, 2, alg.zero, alg.zero)
 
 
 def test_commutator_path_is_aux_independent(m4f3, rng):
@@ -129,6 +109,8 @@ def test_commutator_path_is_aux_independent(m4f3, rng):
                 continue
             path = ad_commutator_path(action, g, i, k, c, j=j)
             assert st_eval(path) == want
+        with pytest.raises(IndexClash):
+            ad_commutator_path(action, g, i, k, c, j=i)
 
 
 def test_verify_clean_m3z4(m3z4, rng):

@@ -117,7 +117,7 @@ def test_localize_z12_at_2_kills_the_right_torsion():
     loc = localize_finite(Zmod(12), 2)
     # brute-force the stabilized annihilator of the powers of 2
     ann = {k for k in range(12) if (2 ** 6 * k) % 12 == 0}
-    assert set(loc.annihilator) == ann == {0, 3, 6, 9}
+    assert {k for k in range(12) if loc.psi(k) == 0} == ann == {0, 3, 6, 9}
     K2 = loc.ring
     assert K2.is_unit(loc.psi(2))
     for x in K2.elements():
@@ -132,7 +132,7 @@ def test_localize_z12_at_2_kills_the_right_torsion():
 
 def test_localize_at_unit_changes_nothing():
     loc = localize_finite(Zmod(12), 5)
-    assert set(loc.annihilator) == {0}
+    assert {k for k in range(12) if loc.psi(k) == 0} == {0}
     assert sorted(loc.ring.elements()) == list(range(12))
 
 

@@ -17,6 +17,7 @@ from sforge import (
     actor_relation_suite,
     ad_equivariance_check,
     equal_after_localization,
+    gen,
     premorphism_equiv,
     random_element,
     random_word,
@@ -181,6 +182,44 @@ def test_equivariance_scan_all_levels(tower, rng, monkeypatch):
         assert out.context.level == k_out
         checked += 1
     assert checked > 400
+
+
+OPPOSITE_ROOT_CASES = {
+    "M4-Z12-s2": (Zmod(12), 2),
+    "M4-GF4-s[0,1]": (GF(2, [1, 1, 1]), (0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPPOSITE_ROOT_CASES))
+def test_opposite_root_equivariance_grid(name):
+    """Every root actor x_ij(v/s^den), v over all of R_ij and den in
+    {0, 1}, against every one-letter word x_ji(a) at level k_max, a over
+    all of R_ji: ad_equivariance_check holds.
+
+    Both sides read the same presented source, the letters of
+    express_as_commutators(ctx, j, i, a), so a fault in that expansion
+    cancels out here; test_words.py::test_express_as_commutators checks
+    the expansion against the letter itself.
+    """
+    base, s = OPPOSITE_ROOT_CASES[name]
+    fam = IdempotentFamily.matrix_units(MatrixAlgebra(base, 4))
+    tower = HomotopeTower(fam, s, k_max=4)
+    ctx = tower.context(tower.k_max)
+    checked = 0
+    for i in fam.labels():
+        for j in fam.labels():
+            if i == j:
+                continue
+            words = [gen(ctx, j, i, a) for a in fam.component_elements(j, i)]
+            for den in (0, 1):
+                for v in fam.component_elements(i, j):
+                    actor = RootActor(tower, i, j, v, den)
+                    for w in words:
+                        holds, out = ad_equivariance_check(tower, actor, w)
+                        assert holds, (actor, w)
+                        assert out.context.level == tower.k_max - den
+                        checked += 1
+    assert checked == 12 * 2 * base.size ** 2
 
 
 def _dense_conj(tower, actor, x):

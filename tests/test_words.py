@@ -332,16 +332,36 @@ def test_merge_map_needs_rank(rng):
         g_alpha(w, ref)
 
 
-def test_express_as_commutators(m4f2, rng):
-    ctx = Context(m4f2)
-    alg = m4f2.algebra
-    for _ in range(100):
-        i, k = rng.sample(list(m4f2.labels()), 2)
-        c = m4f2.sample_component(i, k, rng)
-        w = express_as_commutators(ctx, i, k, c)
-        assert st_eval(w) == alg.add(alg.one, m4f2.to_matrix(c, i, k))
-        assert len(w.letters) % 4 == 0
-    zero = m4f2.project(alg.zero, 1, 2)
+EXPANSION_FAMILIES = {
+    "M4-F2-units": (Zmod(2), 4, None),
+    "M5-Z6-[[0],[1],[2,4],[3]]": (Zmod(6), 5, [[0], [1], [2, 4], [3]]),
+    "M5-GF4-[[0,3],[1],[2,4]]": (GF(2, [1, 1, 1]), 5, [[0, 3], [1], [2, 4]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPANSION_FAMILIES))
+def test_express_as_commutators(name):
+    """st of the expansion of x_ik(c) is 1 + c for every c in R_ik, every
+    (i, k) and every auxiliary j: the one place a letter is expanded
+    through witnesses, which the commutator path, the merge map and the
+    tower's opposite root all read."""
+    base, n, blocks = EXPANSION_FAMILIES[name]
+    A = MatrixAlgebra(base, n)
+    fam = IdempotentFamily.matrix_units(A) if blocks is None else IdempotentFamily(A, blocks)
+    ctx = Context(fam)
+    labels = list(fam.labels())
+    for i in labels:
+        for k in labels:
+            if i == k:
+                continue
+            for j in labels:
+                if j in (i, k):
+                    continue
+                for c in fam.component_elements(i, k):
+                    w = express_as_commutators(ctx, i, k, c, j)
+                    assert st_eval(w) == A.add(A.one, fam.to_matrix(c, i, k)), (i, j, k, c)
+                    assert len(w.letters) % 4 == 0
+    zero = fam.project(A.zero, 1, 2)
     assert express_as_commutators(ctx, 1, 2, zero).letters == ()
     with pytest.raises(IndexClash):
         express_as_commutators(ctx, 1, 2, zero, j=2)

@@ -32,7 +32,6 @@ from .words import (
     SideConditionViolated,
     Word,
     check_relation_instance,
-    commutator,
     diag_act,
     equal_words,
     exhaustive_relation_grid,

@@ -16,18 +16,15 @@ and V = st(v+), the words of the recursion, are the identity on block t,
 so W^-1 (1 + x) W = 1 + x W_JJ for the row piece x in R_tJ and
 V^-1 (1 + y) V = 1 + V^-1_JJ y for the column piece y in R_Jt: one st
 image and one block product per nonempty piece.  The row and column
-letters are the per-label cells of x and y.  No n x n matrix is
+letters are words.split_letters of x and y.  No n x n matrix is
 multiplied, added or inverted until the final check multiplies the
 factorization back.
 """
 
 from __future__ import annotations
 
-import itertools
-
-from .peirce import IdempotentFamily
 from .rings import NotInvertible, SforgeError, random_element
-from .words import Context, DiagonalElement, Letter, Word, st_eval
+from .words import Context, DiagonalElement, Letter, Word, split_letters, st_eval
 
 
 class PivotSearchFailed(SforgeError):
@@ -150,34 +147,6 @@ def _neg(fam, a):
     return tuple(map(fam.algebra.base.neg, a))
 
 
-def _row_letters(fam, t, J, x):
-    """The nonzero letters x_tj(e_t x e_j), j in J, of x in R_tJ."""
-    out = []
-    for j in J:
-        v = fam.restrict(x, t, J, t, j)
-        if not fam.is_zero(v):
-            out.append(Letter(t, j, v))
-    return out
-
-
-def _col_letters(fam, t, J, y):
-    """The nonzero letters x_jt(e_j y e_t), j in J, of y in R_Jt."""
-    out = []
-    for j in J:
-        v = fam.restrict(y, J, t, j, t)
-        if not fam.is_zero(v):
-            out.append(Letter(j, t, v))
-    return out
-
-
-def _with_block(fam, m, v, I):
-    """The matrix m with the block values v of R_II written into its cells."""
-    out = [list(row) for row in m]
-    for (r, c), x in zip(fam.cells(I, I), v):
-        out[r][c] = x
-    return tuple(map(tuple, out))
-
-
 def _block_step(fam, g, t, J):
     """One two-block elimination of block t against the labels J.
 
@@ -218,7 +187,7 @@ def _decompose_rec(fam, g, t):
     J = tuple(range(t + 1, n + 1))
     c, lower, upper2, u, delta = _block_step(fam, g, t, J)
     v_plus, v_minus, v_plus2, d = _decompose_rec(
-        fam, _with_block(fam, fam.algebra.one, delta, J), t + 1
+        fam, fam.write(fam.algebra.one, delta, J, J), t + 1
     )
     # move the stray pieces through the recursion: W = st(v+ v- v+') and
     # V = st(v+) are the identity on block t, so W^-1 (1 + x) W = 1 + x W_JJ
@@ -228,13 +197,13 @@ def _decompose_rec(fam, g, t):
     moved_plus2 = []
     if not fam.is_zero(upper2):
         W = fam.project(st_eval(Word(ctx, v_plus + v_minus + v_plus2)), J, J)
-        moved_plus2 = _row_letters(fam, t, J, mul(upper2, t, J, W, J))
+        moved_plus2 = split_letters(fam, mul(upper2, t, J, W, J), (t,), J)
     moved_minus = []
     if not fam.is_zero(lower):
         V_inv = fam.project(st_eval(Word(ctx, v_plus).inverse()), J, J)
-        moved_minus = _col_letters(fam, t, J, mul(V_inv, J, J, lower, t))
+        moved_minus = split_letters(fam, mul(V_inv, J, J, lower, t), J, (t,))
     return (
-        _row_letters(fam, t, J, c) + v_plus,
+        split_letters(fam, c, (t,), J) + v_plus,
         moved_minus + v_minus,
         v_plus2 + moved_plus2,
         [u] + d,
@@ -287,31 +256,18 @@ def sample_gl(alg, rng):
 def _corner_candidates(fam, i, j, rng=None, samples=None):
     """Elements that are identity outside the blocks i and j.
 
-    Exhaustive when rng is None, sampled otherwise.
+    Each is the identity with the block values of the corner of the label
+    tuple (i, j) written in, whose cells are the sorted positions of both
+    blocks, row by row.  Exhaustive (component_elements) when rng is None,
+    sampled (sample_component) otherwise.
     """
-    alg = fam.algebra
-    base = alg.base
-    sup = sorted(fam.support(i) + fam.support(j))
-    others = [p for p in range(alg.n) if p not in sup]
-
-    def assemble(fill):
-        rows = [[base.zero] * alg.n for _ in range(alg.n)]
-        for p in others:
-            rows[p][p] = base.one
-        it = iter(fill)
-        for r in sup:
-            for c in sup:
-                rows[r][c] = next(it)
-        return tuple(tuple(row) for row in rows)
-
-    k = len(sup) * len(sup)
+    I = (i, j)
     if rng is None:
-        for fill in itertools.product(base.elements(), repeat=k):
-            yield assemble(fill)
+        fills = fam.component_elements(I, I)
     else:
-        pool = list(base.elements())
-        for _ in range(samples):
-            yield assemble([rng.choice(pool) for _ in range(k)])
+        fills = (fam.sample_component(I, I, rng) for _ in range(samples))
+    for fill in fills:
+        yield fam.write(fam.algebra.one, fill, I, I)
 
 
 def presentation_relation_check(fam, i, rng=None, samples=None, word_samples=0):
@@ -345,7 +301,7 @@ def presentation_relation_check(fam, i, rng=None, samples=None, word_samples=0):
         max_pairs = max(max_pairs, used)
         letters = [L for a, b in pairs for L in (Letter(i, j, a), Letter(j, i, b))]
         m = st_eval(Word(ctx, letters))
-        dd = _with_block(fam, _with_block(fam, alg.one, delta, j), u, i)
+        dd = fam.write(fam.write(alg.one, delta, j, j), u, i, i)
         if alg.mul(m, dd) != g:
             violations.append(alg.element_to_json(g))
     if word_samples and rng is not None:

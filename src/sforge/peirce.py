@@ -7,11 +7,11 @@ the i-th block.  Matrix-unit families are the all-singleton partition.
 An element of a Peirce component R_ij = e_i R e_j is stored as its block
 values: the tuple of its entries at cells(i, j), the |block i| x |block j|
 positions of the component, row by row.  project() reads those values off
-an n x n matrix, to_matrix() puts them back, and block_mul() multiplies
-two components without forming either matrix.  cell_index(), where the
-cells of one component sit among those of a larger one, is the one
-positional restriction.  corner_inv() is also the corner unit test: a
-corner is a unit exactly when it inverts.
+an n x n matrix, write() is the one writer that puts them back, and
+block_mul() multiplies two components without forming either matrix.
+cell_index(), where the cells of one component sit among those of a
+larger one, is the one positional restriction.  corner_inv() is also the
+corner unit test: a corner is a unit exactly when it inverts.
 
 Each ordered pair (i, j) carries Morita witnesses: pairs (x_p, y_p) with
 x_p in R_ij, y_p in R_ji and sum_p x_p y_p = e_i.  They certify
@@ -101,12 +101,19 @@ class IdempotentFamily:
         """
         return tuple([a[r][c] for r, c in self.cells(i, j)])
 
-    def to_matrix(self, a, i, j):
-        """The n x n matrix of the block values a of R_ij, zero off its cells."""
-        out = [list(row) for row in self.algebra.zero]
+    def write(self, m, a, i, j):
+        """The matrix m with the block values a written on cells(i, j).
+
+        i and j may be tuples of labels, as in cells().
+        """
+        out = [list(row) for row in m]
         for (r, c), v in zip(self.cells(i, j), a):
             out[r][c] = v
         return tuple(map(tuple, out))
+
+    def to_matrix(self, a, i, j):
+        """The n x n matrix of the block values a of R_ij, zero off its cells."""
+        return self.write(self.algebra.zero, a, i, j)
 
     def cell_index(self, I, J, i, j):
         """Where each cell of (i, j) sits among the cells of (I, J).
@@ -188,9 +195,12 @@ class IdempotentFamily:
         return itertools.product(pool, repeat=len(self.cells(i, j)))
 
     def sample_component(self, i, j, rng):
-        """A uniform element of R_ij, as block values: one draw per cell."""
-        pool = list(self.algebra.base.elements())
-        return tuple([rng.choice(pool) for _ in self.cells(i, j)])
+        """A uniform element of R_ij, as block values: one draw per cell.
+
+        Each draw is the base ring's choice(rng), which lists no elements.
+        """
+        choice = self.algebra.base.choice
+        return tuple([choice(rng) for _ in self.cells(i, j)])
 
     def corner_inv(self, u, i):
         """The block values of the inverse of u inside the corner e_i R e_i.
@@ -243,10 +253,11 @@ class Refinement:
     """Bookkeeping for one merge step between a fine and a coarse family.
 
     Both families share the algebra, so a fine component R_ij sits inside
-    the coarse component of its classes; restrict() and extend() move block
-    values between the two.  fine_of sends a coarse label to the tuple of
-    fine labels in its class, whose cells are the coarse cells, since
-    blocks are sorted on construction.
+    the coarse component of its classes; extend() puts fine block values
+    there, and words.split_letters cuts coarse ones into fine letters.
+    fine_of sends a coarse label to the tuple of fine labels in its class,
+    whose cells are the coarse cells, since blocks are sorted on
+    construction.
     """
 
     def __init__(self, fine, coarse, label_map):
@@ -258,16 +269,9 @@ class Refinement:
             for c in coarse.labels()
         }
 
-    def _classes(self, i, j):
-        return self.fine_of[self.label_map[i]], self.fine_of[self.label_map[j]]
-
-    def restrict(self, a, i, j):
-        """The fine block values e_i a e_j of coarse block values a."""
-        return self.fine.restrict(a, *self._classes(i, j), i, j)
-
     def extend(self, a, i, j):
         """The coarse block values of fine block values a of R_ij."""
-        I, J = self._classes(i, j)
+        I, J = self.fine_of[self.label_map[i]], self.fine_of[self.label_map[j]]
         out = [self.fine.algebra.base.zero] * len(self.fine.cells(I, J))
         for t, v in zip(self.fine.cell_index(I, J, i, j), a):
             out[t] = v

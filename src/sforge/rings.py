@@ -92,6 +92,10 @@ class Zmod:
     def elements(self):
         return iter(range(self.m))
 
+    def choice(self, rng):
+        """rng.choice(list(self.elements())), without the list."""
+        return rng.randrange(self.m)
+
     def units(self):
         return [a for a in range(self.m) if math.gcd(a, self.m) == 1]
 
@@ -162,24 +166,6 @@ def _poly_mod(cs, f, p):
     return cs
 
 
-def _poly_divmod(a, b, p):
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-    _poly_trim(b)
-    inv_lead = pow(b[-1], -1, p)
-    q = [0] * max(1, len(a) - len(b) + 1)
-    r = list(a)
-    _poly_trim(r)
-    while len(r) >= len(b):
-        c = (r[-1] * inv_lead) % p
-        k = len(r) - len(b)
-        q[k] = c
-        for t, bc in enumerate(b):
-            r[k + t] = (r[k + t] - c * bc) % p
-        _poly_trim(r)
-    return q, r
-
-
 def _poly_mulmod(a, b, f, p):
     """a * b modulo the monic f, coefficients mod p, for a reduced modulo f
     (d coefficients) and b nonempty: Horner's rule in b, O(d) per
@@ -232,44 +218,32 @@ class GF:
         self.p = p
         self.f = tuple(f)
         self.deg = len(f) - 1
-        if not self._irreducible():
-            raise ValueError("GF modulus must be irreducible")
         self.size = p ** self.deg
         self.zero = (0,) * self.deg
         self.one = (1,) + (0,) * (self.deg - 1)
         self._build_tables()
-
-    def _irreducible(self):
-        d = len(self.f) - 1
-        if d == 1:
-            return True
-        for k in range(1, d // 2 + 1):
-            for tail in itertools.product(range(self.p), repeat=k):
-                g = list(tail) + [1]
-                _, r = _poly_divmod(list(self.f), g, self.p)
-                if not r:
-                    return False
-        return True
 
     def _primitive(self):
         """A generator of the multiplicative group, as a trimmed coefficient list.
 
         Candidates are taken in order of degree, so multiplying by the one
         found costs O(d) per coefficient it has; g is primitive when
-        g^((q-1)/r) != 1 for every prime r dividing q - 1.
+        g^((q-1)/r) != 1 for every prime r dividing q - 1.  The search
+        also decides irreducibility: in a field every nonzero g has
+        g^(q-1) = 1, and modulo a reducible f some nonzero g is not a
+        unit, while no element has order q - 1, so the search reaches
+        such a g before any primitive one and raises ValueError there.
         """
         p, d, f = self.p, self.deg, list(self.f)
         order = self.size - 1
         one = list(self.one)
         primes = _prime_factors(order)
-        candidates = (
-            _poly_trim([(k // p ** e) % p for e in range(d)])
-            for k in range(1, self.size)
-        )
-        return next(
-            g for g in candidates
-            if all(_poly_powmod(g, order // r, f, p) != one for r in primes)
-        )
+        for k in range(1, self.size):
+            g = _poly_trim([(k // p ** e) % p for e in range(d)])
+            if _poly_powmod(g, order, f, p) != one:
+                raise ValueError("GF modulus must be irreducible")
+            if all(_poly_powmod(g, order // r, f, p) != one for r in primes):
+                return g
 
     def _build_tables(self):
         p, f = self.p, list(self.f)
@@ -331,6 +305,12 @@ class GF:
 
     def elements(self):
         return itertools.product(range(self.p), repeat=self.deg)
+
+    def choice(self, rng):
+        """rng.choice(list(self.elements())), without the list: the k-th
+        coefficient tuple in elements() order, for one draw k."""
+        k = rng.randrange(self.size)
+        return tuple([k // self.p ** e % self.p for e in range(self.deg - 1, -1, -1)])
 
     def units(self):
         return [a for a in self.elements() if a != self.zero]

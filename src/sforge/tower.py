@@ -21,8 +21,9 @@ actor carries only block values: its numerator's on its component, and
 for a diagonal actor also those of its inverse.  They multiply the block
 values of the letters it acts on, and on the GL side conjugation uses
 the known inverse (1 - v for a root actor, the stored inverse block for a
-diagonal one) as block row and column updates, so no n x n matrix is
-inverted or multiplied.
+diagonal one): a root actor through the row and column kernels of
+MatrixAlgebra, a diagonal one by block products on its rows and columns,
+so no n x n matrix is inverted or multiplied.
 """
 
 from __future__ import annotations
@@ -235,44 +236,36 @@ class LocalizedTower:
         values and its known inverse; no matrix is inverted or multiplied.
 
         A root actor is g = 1 + v with v = psi(num)/s^den in R_ij and
-        g^-1 = 1 - v: the block-i rows gain v times the block-j rows, then
-        the block-j columns gain the block-i columns times -v.  A diagonal
-        actor is g = 1 - e_i + u with u = psi(num)/s^den in R_ii and
-        g^-1 = 1 - e_i + psi(inv_block): the block-i rows are replaced by
-        u times themselves, then the block-i columns by themselves times
-        psi(inv_block).  O(n |block i| (|block i| + |block j|)) ring
-        operations.
+        g^-1 = 1 - v: MatrixAlgebra.add_row_multiples gives the block-i
+        rows v times the block-j rows, then add_column_multiples gives the
+        block-j columns the block-i columns times -v.  Both kernels need
+        no row (column) to be both source and target, which i != j grants.
+        A diagonal actor is g = 1 - e_i + u with u = psi(num)/s^den in R_ii
+        and g^-1 = 1 - e_i + psi(inv_block); its corner is both source and
+        target, so the block-i rows become u times themselves, then the
+        block-i columns themselves times psi(inv_block), by block_mul on
+        projections written back.  O(n |block i| (|block i| + |block j|))
+        ring operations.
         """
         fam = self.family
-        base = self.algebra.base
+        alg = self.algebra
+        base = alg.base
         psi = self.scalar_loc.psi
         c = self.s_pow_inv(actor.den)
-        # a: the block values of v or u; b: those of the inverse's block
-        a = tuple([base.mul(c, psi(x)) for x in actor.block])
+        # the block values of v or u
+        a = tuple([base.mul(c, psi(y)) for y in actor.block])
         i = actor.i
         if isinstance(actor, RootActor):
-            j = actor.j
-            b = tuple(map(base.neg, a))
-            update = base.add
-        else:
-            j = i
-            b = tuple(map(psi, actor.inv_block))
-            update = lambda old, new: new
+            cells = fam.cells(i, actor.j)
+            rows = list(x)
+            alg.add_row_multiples(rows, cells, a)
+            cols = list(zip(*rows))
+            alg.add_column_multiples(cols, cells, map(base.neg, a))
+            return tuple(zip(*cols))
         every = tuple(fam.labels())
-        pos_i, pos_j = fam.support(i), fam.support(j)
-        n = len(x)
-        rows = [list(row) for row in x]
-        # g x: the block-i rows, from a times the block-j rows
-        top = fam.block_mul(a, i, j, [v for p in pos_j for v in rows[p]], every)
-        for t, p in enumerate(pos_i):
-            rows[p] = list(map(update, rows[p], top[t * n:(t + 1) * n]))
-        # (g x) g^-1: the block-j columns, from the block-i columns times b
-        right = fam.block_mul([row[p] for row in rows for p in pos_i], every, i, b, j)
-        w = len(pos_j)
-        for r, row in enumerate(rows):
-            for t, p in enumerate(pos_j):
-                row[p] = update(row[p], right[r * w + t])
-        return tuple(map(tuple, rows))
+        b = tuple(map(psi, actor.inv_block))
+        x = fam.write(x, fam.block_mul(a, i, i, fam.project(x, i, every), every), i, every)
+        return fam.write(x, fam.block_mul(fam.project(x, every, i), every, i, b, i), every, i)
 
 
 class DiagActor:

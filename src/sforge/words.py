@@ -182,11 +182,6 @@ def word(ctx, items):
     return out
 
 
-def commutator(w1, w2):
-    """The word w1 w2 w1^-1 w2^-1."""
-    return w1 * w2 * w1.inverse() * w2.inverse()
-
-
 def st_eval(w):
     """The image of the word under st.
 
@@ -435,11 +430,10 @@ class DiagonalElement:
     def embed(self):
         """The n x n matrix u_1 + ... + u_n."""
         fam = self.family
-        out = [list(row) for row in fam.algebra.zero]
+        out = fam.algebra.zero
         for t, u in enumerate(self.blocks, start=1):
-            for (r, c), v in zip(fam.cells(t, t), u):
-                out[r][c] = v
-        return tuple(map(tuple, out))
+            out = fam.write(out, u, t, t)
+        return out
 
     def __eq__(self, other):
         return (
@@ -475,13 +469,28 @@ def diag_act(d, w):
     return Word(w.context, out)
 
 
+def split_letters(fam, a, I, J):
+    """The nonzero letters x_ij(e_i a e_j), for i in I, then j in J.
+
+    a holds the block values of R_IJ, for tuples of labels I and J; each
+    letter keeps the values on the cells of its own (i, j).  This is the
+    one place block values are cut into letters.
+    """
+    out = []
+    for i in I:
+        for j in J:
+            v = fam.restrict(a, I, J, i, j)
+            if not fam.is_zero(v):
+                out.append(Letter(i, j, v))
+    return out
+
+
 def f_alpha(w, ref):
     """Push a word over the coarse family to the fine family.
 
     Untouched letters keep their payload; a letter into (out of) the merged
-    class splits into one letter per fine label, cutting the payload with
-    the fine idempotent on the appropriate side, which keeps the values on
-    that label's cells.  Zero cuts are dropped.
+    class splits into one letter per fine label, through split_letters
+    over the two classes.  Zero cuts are dropped.
     """
     fine = ref.fine
     ctx_fine = Context(fine, w.context.scale, w.context.level)
@@ -493,13 +502,8 @@ def f_alpha(w, ref):
         fj = ref.fine_of[L.j]
         if len(fi) == 1 and len(fj) == 1:
             out.append(Letter(fi[0], fj[0], L.a))
-            continue
-        # one side is the merged class, the other a single label
-        for p in fi:
-            for q in fj:
-                cut = ref.restrict(L.a, p, q)
-                if not fine.is_zero(cut):
-                    out.append(Letter(p, q, cut))
+        else:
+            out.extend(split_letters(fine, L.a, fi, fj))
     return Word(ctx_fine, tuple(out))
 
 

@@ -20,7 +20,7 @@ from sforge import (
     sample_gl,
     st_eval,
 )
-from sforge.gauss import GaussFactorization, _field_pivot_cells
+from sforge.gauss import GaussFactorization, _corner_candidates, _field_pivot_cells
 from sforge.words import Letter, support_sign
 
 
@@ -158,6 +158,31 @@ def test_singular_elements_are_rejected(m4f3):
         gauss_decompose(m4f3, m4f3.idempotent(1))
 
 
+def _position_loop_candidates(fam, i, j, rng=None, samples=None):
+    """The corner candidates as positional loops build them: the identity
+    off the sorted positions of blocks i and j, those filled row by row."""
+    alg = fam.algebra
+    base = alg.base
+    sup = sorted(fam.support(i) + fam.support(j))
+
+    def assemble(fill):
+        rows = [[base.zero] * alg.n for _ in range(alg.n)]
+        for p in range(alg.n):
+            if p not in sup:
+                rows[p][p] = base.one
+        it = iter(fill)
+        for r in sup:
+            for c in sup:
+                rows[r][c] = next(it)
+        return tuple(map(tuple, rows))
+
+    k = len(sup) ** 2
+    if rng is None:
+        return [assemble(fill) for fill in itertools.product(base.elements(), repeat=k)]
+    pool = list(base.elements())
+    return [assemble([rng.choice(pool) for _ in range(k)]) for _ in range(samples)]
+
+
 def test_presentation_relations_exhaustive_m2_f2():
     alg = MatrixAlgebra(Zmod(2), 2)
     fam = IdempotentFamily.matrix_units(alg)
@@ -166,6 +191,11 @@ def test_presentation_relations_exhaustive_m2_f2():
     assert report["violation_count"] == 0
     assert report["max_pairs"] <= 3
     assert report["singular_skipped"] == 16 - 6
+    # interleaved blocks: the candidates are those of the positional loops
+    fam = IdempotentFamily(MatrixAlgebra(Zmod(2), 3), [[0, 2], [1]])
+    got = list(_corner_candidates(fam, 1, 2))
+    assert len(got) == 2 ** 9
+    assert got == _position_loop_candidates(fam, 1, 2)
 
 
 def test_presentation_relations_sampled_m2_z4(rng):
@@ -175,6 +205,10 @@ def test_presentation_relations_sampled_m2_z4(rng):
     assert report["violation_count"] == 0
     assert report["checked"] > 0
     assert report["diagonal_words"] > 0
+    # interleaved blocks: the same seeded draws as the positional loops
+    fam = IdempotentFamily(MatrixAlgebra(Zmod(4), 3), [[0, 2], [1]])
+    got = list(_corner_candidates(fam, 1, 2, rng=random.Random(11), samples=50))
+    assert got == _position_loop_candidates(fam, 1, 2, rng=random.Random(11), samples=50)
 
 
 def test_factorization_json_is_reloadable(m4f3, rng):

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from sforge import GF, MatrixAlgebra, NotInvertible, random_element
-from sforge.rings import _poly_divmod, _poly_mod, _poly_trim
+from sforge.rings import _poly_mod, _poly_trim
 
 FIELDS = {
     "GF(2)": (2, [1, 1]),
@@ -40,6 +40,24 @@ def poly_sub(a, b):
     a = a + [0] * (n - len(a))
     b = b + [0] * (n - len(b))
     return [x - y for x, y in zip(a, b)]
+
+
+def _poly_divmod(a, b, p):
+    a = [c % p for c in a]
+    b = [c % p for c in b]
+    _poly_trim(b)
+    inv_lead = pow(b[-1], -1, p)
+    q = [0] * max(1, len(a) - len(b) + 1)
+    r = list(a)
+    _poly_trim(r)
+    while len(r) >= len(b):
+        c = (r[-1] * inv_lead) % p
+        k = len(r) - len(b)
+        q[k] = c
+        for t, bc in enumerate(b):
+            r[k + t] = (r[k + t] - c * bc) % p
+        _poly_trim(r)
+    return q, r
 
 
 def ref_add(F, a, b):
@@ -104,6 +122,29 @@ def test_large_field_matches_on_random_pairs():
         assert F.mul(a, b) == ref_mul(F, a, b)
         if a != F.zero:
             assert F.inv(a) == ref_inv(F, a)
+
+
+def test_modulus_irreducibility_matches_a_divisor_search():
+    """GF accepts exactly the monic moduli no monic polynomial of degree
+    1 .. d // 2 divides: every modulus of degree <= 6 over F_2, <= 4 over
+    F_3, <= 3 over F_5 and <= 2 over F_7."""
+    checked = 0
+    for p, top in ((2, 6), (3, 4), (5, 3), (7, 2)):
+        for d in range(1, top + 1):
+            for tail in itertools.product(range(p), repeat=d):
+                f = list(tail) + [1]
+                reducible = any(
+                    not _poly_divmod(f, list(g) + [1], p)[1]
+                    for k in range(1, d // 2 + 1)
+                    for g in itertools.product(range(p), repeat=k)
+                )
+                if reducible:
+                    with pytest.raises(ValueError, match="irreducible"):
+                        GF(p, f)
+                else:
+                    assert GF(p, f).size == p ** d
+                checked += 1
+    assert checked == 457
 
 
 def dense_product(F, a, b):

@@ -7,12 +7,14 @@ from sforge import (
     BadFamily,
     IdempotentFamily,
     IndexClash,
+    Letter,
     MatrixAlgebra,
     NotInvertible,
     Zmod,
     family_from_json,
     morita_decompose,
 )
+from sforge.words import split_letters
 
 
 def test_projection_cuts_one_block():
@@ -122,7 +124,7 @@ def test_morita_decomposition_rejects_bad_aux(m3z4):
         morita_decompose(m3z4, c, 1, 1, 3)
 
 
-def test_component_membership_and_sizes(m3z4):
+def test_component_membership_and_sizes(m3z4, monkeypatch):
     assert m3z4.component_size(1, 2) == 4
     els = list(m3z4.component_elements(1, 2))
     assert len(els) == 4 == len(set(els))
@@ -130,6 +132,14 @@ def test_component_membership_and_sizes(m3z4):
         m = m3z4.to_matrix(a, 1, 2)
         assert m3z4.is_zero(m3z4.project(m, 2, 1))
         assert m3z4.project(m, 1, 2) == a
+    # a sample draws each value without listing the base ring
+    def refuse(self):
+        raise AssertionError("sample_component listed the base ring")
+
+    monkeypatch.setattr(Zmod, "elements", refuse)
+    big = IdempotentFamily(MatrixAlgebra(Zmod(10 ** 12), 2), [[0, 1]])
+    a = big.sample_component(1, 1, random.Random(3))
+    assert len(a) == 4 and all(0 <= x < 10 ** 12 for x in a)
 
 
 def test_corner_inverse_via_global_unit(m3z4):
@@ -161,14 +171,18 @@ def test_merge_places_united_block_last(m4f2):
         for p in coarse.labels():
             for q in coarse.labels():
                 fine_sum = A.zero
+                letters = []
                 for i in ref.fine_of[p]:
                     for j in ref.fine_of[q]:
                         fine_sum = A.add(fine_sum, m4f2.to_matrix(m4f2.project(m, i, j), i, j))
-                        # restrict() reads the fine block off the coarse one
-                        assert ref.restrict(coarse.project(m, p, q), i, j) == m4f2.project(m, i, j)
+                        if not m4f2.is_zero(m4f2.project(m, i, j)):
+                            letters.append(Letter(i, j, m4f2.project(m, i, j)))
                         # extend() puts it back, zero on the other fine blocks
                         fine = m4f2.to_matrix(m4f2.project(m, i, j), i, j)
                         assert ref.extend(m4f2.project(m, i, j), i, j) == coarse.project(fine, p, q)
+                # split_letters reads the nonzero fine blocks off the coarse one
+                cut = split_letters(m4f2, coarse.project(m, p, q), ref.fine_of[p], ref.fine_of[q])
+                assert cut == letters
                 assert coarse.to_matrix(coarse.project(m, p, q), p, q) == fine_sum
 
 

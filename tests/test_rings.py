@@ -146,6 +146,11 @@ def test_random_element_is_seed_deterministic():
     A = MatrixAlgebra(Zmod(5), 3)
     xs = [random_element(A, random.Random(99)) for _ in range(3)]
     assert xs[0] == xs[1] == xs[2]
+    # choice(rng) makes the draw rng.choice makes from the listed elements
+    for R in (Zmod(12), GF(2, [1, 1, 1]), GF(3, [1, 0, 1])):
+        pool = list(R.elements())
+        got, want = random.Random(7), random.Random(7)
+        assert [R.choice(got) for _ in range(2000)] == [want.choice(pool) for _ in range(2000)]
 
 
 @given(st.integers(min_value=2, max_value=40), st.integers(), st.integers())

@@ -253,7 +253,8 @@ def test_conj_matches_the_dense_reference(name, monkeypatch):
     """conj on block values agrees with the dense conjugation by the
     inverted n x n image, for every diagonal and root actor over the whole
     value grid of its component, at denominators 0, 1 and 2, on a sampled
-    x; conj itself inverts and multiplies no n x n matrix."""
+    x; conj itself inverts and multiplies no n x n matrix, and a root
+    actor goes through the row and column kernels, with no block_mul."""
     base, n, blocks, s = CONJ_CASES[name]
     A = MatrixAlgebra(base, n)
     fam = IdempotentFamily.matrix_units(A) if blocks is None else IdempotentFamily(A, blocks)
@@ -272,11 +273,20 @@ def test_conj_matches_the_dense_reference(name, monkeypatch):
                     actors.extend(RootActor(tower, i, j, a, den) for a in fam.component_elements(i, j))
     rng = random.Random(len(actors))
     xs = [random_element(loc.algebra, rng) for _ in actors]
+    # diagonal actors first: root actors run with block_mul refused too
+    pairs = sorted(zip(actors, xs), key=lambda p: isinstance(p[0], RootActor))
+    n_diag = sum(isinstance(actor, DiagActor) for actor in actors)
+
+    def no_block_mul(*args):
+        raise AssertionError("block_mul in a root actor's conjugation")
+
     with monkeypatch.context() as mp:
         mp.setattr(MatrixAlgebra, "inv", _refuse)
         mp.setattr(MatrixAlgebra, "mul", _refuse)
-        got = [loc.conj(actor, x) for actor, x in zip(actors, xs)]
-    for actor, x, y in zip(actors, xs, got):
+        got = [loc.conj(actor, x) for actor, x in pairs[:n_diag]]
+        mp.setattr(IdempotentFamily, "block_mul", no_block_mul)
+        got += [loc.conj(actor, x) for actor, x in pairs[n_diag:]]
+    for (actor, x), y in zip(pairs, got):
         assert y == _dense_conj(tower, actor, x), actor
     kinds = {type(actor) for actor in actors}
     assert kinds == {DiagActor, RootActor}

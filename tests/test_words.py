@@ -18,7 +18,6 @@ from sforge import (
     SideConditionViolated,
     Zmod,
     check_relation_instance,
-    commutator,
     diag_act,
     equal_words,
     exhaustive_relation_grid,
@@ -37,6 +36,11 @@ from sforge import (
 )
 from sforge import words as words_module
 from sforge.words import relation_index_tuples, support_sign
+
+
+def commutator(w1, w2):
+    """The word w1 w2 w1^-1 w2^-1."""
+    return w1 * w2 * w1.inverse() * w2.inverse()
 
 
 @pytest.fixture

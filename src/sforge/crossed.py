@@ -165,17 +165,17 @@ def crossed_module_verify(fam, rng, samples=200, fault=None):
         i, k = rng.sample(labels, 2)
         c = fam.sample_component(i, k, rng)
         letter = gen(ctx, i, k, c)
-        direct = action.apply(g, letter)
+        st_direct = st_eval(action.apply(g, letter))
         for j in labels:
             if j in (i, k):
                 continue
             viaj = ad_commutator_path(action, g, i, k, c, j=j)
             tallies["cm4_cross_path"].record(
-                st_eval(viaj) == st_eval(direct), witness=[i, j, k]
+                st_eval(viaj) == st_direct, witness=[i, j, k]
             )
 
         tallies["cm5_normality"].record(
-            st_eval(direct) == _conj(alg, g, g_inv, st_eval(letter)),
+            st_direct == _conj(alg, g, g_inv, st_eval(letter)),
             witness=[i, k],
         )
     axioms = {name: t.to_json() for name, t in tallies.items()}

@@ -549,7 +549,11 @@ class MatrixAlgebra:
         be a c, so every update reads columns the others leave unchanged.
         With a scale s this is the homotope step acc -> s*acc*a + acc + a:
         column c += column k * (s v), then v is added at (k, c).  Each
-        update builds a new column list, so the columns may start as tuples.
+        update builds a new column list and stores it in cols; no column
+        is ever changed in place.  So the columns may start as tuples, and
+        a shallow copy of a buffer can be updated while the buffer, and
+        every other copy sharing its column lists, stays as it was: the
+        exhaustive relation grid shares the columns of st(x) that way.
         """
         m = self._mod
         if m is not None:

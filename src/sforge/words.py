@@ -7,13 +7,20 @@ row, never an n x n matrix.  Letters are evaluated, inverted, conjugated
 and multiplied on those values; matrices appear only as st images and
 on the wire.  A DiagonalElement is likewise the block values of its
 corner units, with their inverses computed once, on construction.
-st_eval hands each letter's cells and block values to
+One letter loop, _fold, hands each letter's cells and block values to
 MatrixAlgebra.add_column_multiples in sforge.rings, the one column
-update for the plain product and the homotope fold.
-The relation checks build an instance's two sides through one path,
-_relation_sides, from validated letters paired with their negations;
-the exhaustive grid builds each component element's letter once per
-index tuple and checks the tuple's side conditions once.
+update for the plain product and the homotope fold; st_eval folds onto
+the identity's columns and transposes.
+A relation instance lhs = rhs is decided as one word, its relator
+lhs * rhs^-1 (_relator, the one construction of relation words, from
+validated letters paired with their negations): the instance holds
+exactly when st sends the relator to the identity, which is tested on
+one column buffer without transposing.  Word equality is decided the
+same way, on w1 * w2^-1.  Every relator begins with its first payload's
+letter x, so the exhaustive grid folds the columns of st(x) once and
+shares them, copied shallowly, across every second payload; it also
+builds each component element's letter once per index tuple and checks
+the tuple's side conditions once.
 
 On the wire a letter's "a" is its n x n matrix.  Formal inverses are
 normalized away on input: x_ij(a)^{-1} = x_ij(-a) holds in every
@@ -182,6 +189,28 @@ def word(ctx, items):
     return out
 
 
+def _fold(cols, fam, letters, scale):
+    """Fold the letters onto a list of columns, in place, and return it.
+
+    This is the one letter loop: each letter x_ij(a) right-multiplies the
+    columns by 1 + a, or takes the homotope step at the scale, through
+    MatrixAlgebra.add_column_multiples.
+    """
+    cells = fam.cells
+    update = fam.algebra.add_column_multiples
+    for i, j, a in letters:
+        update(cols, cells(i, j), a, scale)
+    return cols
+
+
+def _unit_columns(ctx):
+    """The columns of st of the empty word, as lists: the identity, or zero
+    in a homotope context.  one and zero are symmetric, so their rows are
+    also their columns."""
+    alg = ctx.algebra
+    return [list(c) for c in (alg.one if ctx.scale is None else alg.zero)]
+
+
 def st_eval(w):
     """The image of the word under st.
 
@@ -194,21 +223,29 @@ def st_eval(w):
     disjoint.  So m(1 + a) = m + ma changes only the block-j columns, by
     m[:, c] += sum over k in block i of m[:, k] a[k][c]; the homotope step
     s*acc*a + acc + a is the same update scaled by s, plus a on its cells.
-    MatrixAlgebra.add_column_multiples is that column update, taking the
-    letter's cells and block values as they are: a letter costs
-    O(n |block i| |block j|) ring operations, not the O(n^3) of a matrix
-    product.
+    _fold applies that column update (MatrixAlgebra.add_column_multiples)
+    letter by letter to the identity's columns, and st_eval transposes
+    the result: a letter costs O(n |block i| |block j|) ring operations,
+    not the O(n^3) of a matrix product.
     """
-    fam = w.context.family
-    alg = fam.algebra
-    s = w.context.scale
-    # one and zero are symmetric, so their row tuples are also their columns
-    cols = list(alg.one if s is None else alg.zero)
-    cells = fam.cells
-    update = alg.add_column_multiples
-    for L in w.letters:
-        update(cols, cells(L.i, L.j), L.a, s)
-    return tuple(zip(*cols))
+    ctx = w.context
+    return tuple(zip(*_fold(_unit_columns(ctx), ctx.family, w.letters, ctx.scale)))
+
+
+def _folds_to_unit(ctx, letters, cols=None, unit=None):
+    """Does st send the letters, folded onto a copy of cols, to the identity?
+
+    cols defaults to the identity's columns (zero in a homotope context)
+    and unit, the columns compared with, to _unit_columns(ctx); callers
+    that test many words pass unit once.  Nothing is transposed.  The copy
+    is shallow: add_column_multiples replaces a column and never changes
+    one, so cols is left as it was, and every column no letter touched is
+    still unit's own list and compares by identity.
+    """
+    if unit is None:
+        unit = _unit_columns(ctx)
+    buf = (unit if cols is None else cols)[:]
+    return _fold(buf, ctx.family, letters, ctx.scale) == unit
 
 
 def support_sign(w):
@@ -297,29 +334,30 @@ def u_normal_form(w):
     return Word(w.context, tuple(out))
 
 
-def _common_support(w1, w2):
-    """Do two plain words lie in one of U+ and U-?  An empty support fits
-    either triangle."""
-    if w1.context.scale is not None:
-        return False
-    s1, s2 = support_sign(w1), support_sign(w2)
-    return s1 is not None and s2 is not None and (s1 == s2 or 0 in (s1, s2))
+def _in_one_triangle(w):
+    """Is w a plain word whose nonzero letters all lie in U+, or all in U-?
+    An empty support fits either triangle."""
+    return w.context.scale is None and support_sign(w) is not None
 
 
 def equal_words(w1, w2):
     """(verdict, oracle): graded equality check between two words.
 
-    Tries reduced-word identity, then st-image equality.  On a common
-    unipotent support of a plain context that comparison is graded
-    "normal-form": st is injective on U+ and on U-, and the normal form is
-    a function of the st image there, so the two words have equal normal
-    forms exactly when their images agree.  Elsewhere equal images are
-    necessary only, graded "st".
+    Tries reduced-word identity, then whether st sends w1 * w2^-1 to the
+    identity, which holds exactly when the st images of w1 and w2 agree:
+    st is a monoid map, and st(x_ij(-a)) is the inverse of st(x_ij(a))
+    because a^2 = 0 for i != j (in a homotope, a o (-a) = -s a^2 = 0).
+    On a common unipotent support of a plain context the verdict is
+    graded "normal-form": st is injective on U+ and on U-, and the normal
+    form is a function of the st image there, so the two words have equal
+    normal forms exactly when their images agree.  Elsewhere equal images
+    are necessary only, graded "st".
     """
     if reduce_word(w1) == reduce_word(w2):
         return True, "word"
-    oracle = "normal-form" if _common_support(w1, w2) else "st"
-    return st_eval(w1) == st_eval(w2), oracle
+    w = w1 * w2.inverse()
+    oracle = "normal-form" if _in_one_triangle(w) else "st"
+    return _folds_to_unit(w.context, w.letters), oracle
 
 
 class RelationCheck(NamedTuple):
@@ -331,17 +369,19 @@ class RelationCheck(NamedTuple):
 def check_relation_instance(ctx, kind, i, j, k=None, l=None, a=None, b=None):
     """Check one instance of (St1), (St2) or (St3) under st.
 
-    a and b are block values.  The (St3) right side x_ik(ab) takes the
-    block product of a and b, scaled by the context scale in a homotope
-    context.  A holding plain instance whose two sides share a unipotent
-    support is graded "st+normal-form": st is injective on U+ and on U-,
-    so there the st comparison is exact, and it agrees with comparing the
-    two normal forms, which are functions of the st images.  Otherwise
-    the grade is "st".
+    a and b are block values.  The instance holds when st sends its
+    relator (_relator) to the identity.  The (St3) right side x_ik(ab)
+    takes the block product of a and b, scaled by the context scale in a
+    homotope context.  A holding plain instance whose relator's nonzero
+    letters lie in one triangle, that is, whose two sides share a
+    unipotent support, is graded "st+normal-form": st is injective on U+
+    and on U-, so there the st comparison is exact, and it agrees with
+    comparing the two normal forms, which are functions of the st
+    images.  Otherwise the grade is "st".
     """
-    lhs, rhs = _instance_sides(ctx, kind, i, j, k, l, a, b)
-    ok = st_eval(lhs) == st_eval(rhs)
-    oracle = "st+normal-form" if ok and _common_support(lhs, rhs) else "st"
+    letters = _instance_relator(ctx, kind, i, j, k, l, a, b)
+    ok = _folds_to_unit(ctx, letters)
+    oracle = "st+normal-form" if ok and _in_one_triangle(Word(ctx, letters)) else "st"
     return RelationCheck(ok, oracle, kind)
 
 
@@ -363,8 +403,8 @@ def _signed_letter(fam, i, j, a):
     return x, Letter(i, j, tuple(map(fam.algebra.base.neg, x.a)))
 
 
-def _instance_sides(ctx, kind, i, j, k, l, a, b, fault=None):
-    """The two words of one relation instance, from its indices and block
+def _instance_relator(ctx, kind, i, j, k, l, a, b, fault=None):
+    """The relator of one relation instance, from its indices and block
     values, after checking its side conditions."""
     _check_side_conditions(kind, i, j, k, l)
     if a is None or b is None:
@@ -372,27 +412,35 @@ def _instance_sides(ctx, kind, i, j, k, l, a, b, fault=None):
     fam = ctx.family
     x = _signed_letter(fam, i, j, a)
     y = _signed_letter(fam, *_second_component(kind, i, j, k, l), b)
-    return _relation_sides(ctx, kind, x, y, fault)
+    return _relator(ctx, kind, x, y, fault)
 
 
-def _relation_sides(ctx, kind, first, second, fault=None):
-    """(left word, right word) of one relation instance.
+def _relator(ctx, kind, first, second, fault=None):
+    """The letters of lhs * rhs^-1 for one relation instance; it begins with x.
 
-    first and second are the signed letters (letter, its negation) of the
-    two payloads, validated and past the side conditions.  fault corrupts
-    the (St3) right side, as sample_relations describes.
+    first and second are the signed letters (x, x^-1) and (y, y^-1) of the
+    two payloads a and b, validated and past the side conditions.  The
+    instance holds exactly when st sends the relator to the identity (see
+    equal_words):
+
+        St1  x_ij(a) x_ij(b) x_ij(-(a+b))
+        St2  x y x^-1 y^-1                 (the right side is empty)
+        St3  x y x^-1 y^-1 x_ik(s (-a) b)  (s only in a homotope context)
+
+    fault corrupts the (St3) right side, as sample_relations describes:
+    "st3-zero" drops the last letter (an empty right side), "drop-scale"
+    leaves s off it.
     """
     (x, x_neg), (y, y_neg) = first, second
     base = ctx.algebra.base
     if kind == "St1":
-        return Word(ctx, (x, y)), Word(ctx, (Letter(x.i, x.j, tuple(map(base.add, x.a, y.a))),))
-    lhs = Word(ctx, (x, y, x_neg, y_neg))
+        return x, y, Letter(x.i, x.j, tuple(map(base.add, x_neg.a, y_neg.a)))
     if kind == "St2" or fault == "st3-zero":
-        return lhs, Word(ctx)
-    c = ctx.family.block_mul(x.a, x.i, x.j, y.a, y.j)
+        return x, y, x_neg, y_neg
+    c = ctx.family.block_mul(x_neg.a, x.i, x.j, y.a, y.j)
     if ctx.scale is not None and fault != "drop-scale":
         c = tuple([base.scalar_mul(ctx.scale, v) for v in c])
-    return lhs, Word(ctx, (Letter(x.i, y.j, c),))
+    return x, y, x_neg, y_neg, Letter(x.i, y.j, c)
 
 
 class DiagonalElement:
@@ -614,9 +662,15 @@ def exhaustive_relation_grid(ctx, kind, cap=256):
     Index tuples whose payload components exceed cap elements are skipped
     and counted; the rest are verified exhaustively.  Each tuple's side
     conditions are checked once, and each component element's letter is
-    built once per tuple, not once per pair.
+    built once per tuple, not once per pair.  Every relator begins with
+    x (_relator), so the columns of st(x) are folded once per first
+    payload, and each second payload y folds the rest of its relator onto
+    a shallow copy of them: add_column_multiples never changes a column
+    in place, so the shared columns stay those of st(x).
     """
     fam = ctx.family
+    s = ctx.scale
+    unit = _unit_columns(ctx)
     checked = bad = skipped = 0
     for i, j, k, l in relation_index_tuples(fam, kind):
         second = _second_component(kind, i, j, k, l)
@@ -627,9 +681,9 @@ def exhaustive_relation_grid(ctx, kind, cap=256):
         firsts = [_signed_letter(fam, i, j, a) for a in fam.component_elements(i, j)]
         seconds = [_signed_letter(fam, *second, b) for b in fam.component_elements(*second)]
         for x in firsts:
+            pre = _fold(unit[:], fam, (x[0],), s)
             for y in seconds:
-                lhs, rhs = _relation_sides(ctx, kind, x, y)
-                bad += st_eval(lhs) != st_eval(rhs)
+                bad += not _folds_to_unit(ctx, _relator(ctx, kind, x, y)[1:], pre, unit)
         checked += len(firsts) * len(seconds)
     return {"checked": checked, "violations": bad, "tuples_skipped": skipped}
 
@@ -647,12 +701,14 @@ def sample_relations(ctx, rng, kinds, samples, fault=None):
     """Check `samples` random instances of each relation in kinds, in order.
 
     Each instance draws its index tuple, then a in R_ij, then b from the
-    component _second_component names.  fault corrupts the (St3) right
-    side on purpose, and the commutator is compared with it under st:
-    "st3-zero" replaces x_ik(ab) by the empty word, "drop-scale" leaves
-    the homotope scale off ab.  Returns {kind: {"checked", "violations"}}.
+    component _second_component names, and holds when st sends its
+    relator (_relator) to the identity.  fault corrupts the (St3) right
+    side on purpose: "st3-zero" replaces x_ik(ab) by the empty word,
+    "drop-scale" leaves the homotope scale off ab.  Returns
+    {kind: {"checked", "violations"}}.
     """
     fam = ctx.family
+    unit = _unit_columns(ctx)
     out = {}
     for kind in kinds:
         bad = 0
@@ -660,8 +716,8 @@ def sample_relations(ctx, rng, kinds, samples, fault=None):
             i, j, k, l = random_relation_indices(fam, rng, kind)
             a = fam.sample_component(i, j, rng)
             b = fam.sample_component(*_second_component(kind, i, j, k, l), rng)
-            lhs, rhs = _instance_sides(ctx, kind, i, j, k, l, a, b, fault)
-            bad += st_eval(lhs) != st_eval(rhs)
+            letters = _instance_relator(ctx, kind, i, j, k, l, a, b, fault)
+            bad += not _folds_to_unit(ctx, letters, unit=unit)
         out[kind] = {"checked": samples, "violations": bad}
     return out
 

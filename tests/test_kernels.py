@@ -279,3 +279,29 @@ def test_column_kernel_matches_dense_reference(name):
     zero_letter = next(L for L in letters if fam.is_zero(L.a))
     alg.add_column_multiples(cols, fam.cells(zero_letter.i, zero_letter.j), zero_letter.a, scales[-1])
     assert all(col is row for col, row in zip(cols, alg.one))
+
+
+@pytest.mark.parametrize("name", KERNEL_GRIDS)
+def test_column_kernel_never_changes_a_column_in_place(name):
+    """add_column_multiples replaces each column it updates and changes
+    no column list in place, so folding letters onto a shallow copy of a
+    buffer leaves the buffer's own column lists as they were: the relation
+    grid shares the columns of st(x) across every second payload on that
+    guarantee.  Z/m rings take the kernel's Z/m branch, GF(4) its generic
+    one, plain and at three homotope scales."""
+    fam = GRIDS[name]
+    alg = fam.algebra
+    rng = random.Random(name)
+    elements = list(alg.base.elements())
+    letters = [L for L in all_letters(fam) if not fam.is_zero(L.a)]
+    for s in [None] + [scalar(alg.base, k) for k in SCALES]:
+        for L in letters:
+            cols = [[rng.choice(elements) for _ in range(alg.n)] for _ in range(alg.n)]
+            objects = list(cols)
+            values = [list(c) for c in cols]
+            buf = cols[:]
+            alg.add_column_multiples(buf, fam.cells(L.i, L.j), L.a, s)
+            assert all(c is o for c, o in zip(cols, objects))
+            assert cols == values
+            touched = {c for (_, c), v in zip(fam.cells(L.i, L.j), L.a) if v != alg.base.zero}
+            assert all((buf[c] is cols[c]) == (c not in touched) for c in range(alg.n))

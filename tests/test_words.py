@@ -10,12 +10,14 @@ from sforge import (
     DiagonalElement,
     IdempotentFamily,
     IndexClash,
+    Letter,
     MatrixAlgebra,
     NonInvertibleComponent,
     NotUnipotentSupport,
     RankTooSmall,
     SforgeError,
     SideConditionViolated,
+    Word,
     Zmod,
     check_relation_instance,
     diag_act,
@@ -214,8 +216,6 @@ def test_equal_words_grades(plain, rng):
     up = random_word(plain, rng, 3, sign=1)
     shuffled = list(up.letters)
     rng.shuffle(shuffled)
-    from sforge import Word
-
     v = Word(plain, tuple(shuffled))
     verdict, oracle = equal_words(up, v)
     assert verdict == (st_eval(up) == st_eval(v))
@@ -421,10 +421,12 @@ def test_additivity_matches_integer_model(vals):
     assert u_normal_form(lhs) == u_normal_form(rhs)
 
 
-def _relation_sides(ctx, kind, i, j, k, l, a, b):
-    """The two sides of a relation instance, built independently of
-    check_relation_instance: the right side's payload is a sum or product
-    of n x n matrices, cut back to block values."""
+def _relation_sides(ctx, kind, i, j, k, l, a, b, fault=None):
+    """The two sides of a relation instance, built independently of the
+    relators words._relator builds: the right side's payload is a sum or
+    product of n x n matrices, cut back to block values, and the (St3)
+    one is scaled in a homotope context.  fault corrupts the (St3) right
+    side as sample_relations describes."""
     alg = ctx.algebra
     fam = ctx.family
     if kind == "St1":
@@ -432,8 +434,13 @@ def _relation_sides(ctx, kind, i, j, k, l, a, b):
         return gen(ctx, i, j, a) * gen(ctx, i, j, b), gen(ctx, i, j, fam.project(c, i, j))
     if kind == "St2":
         return commutator(gen(ctx, i, j, a), gen(ctx, k, l, b)), word(ctx, [])
+    lhs = commutator(gen(ctx, i, j, a), gen(ctx, j, k, b))
+    if fault == "st3-zero":
+        return lhs, word(ctx, [])
     c = alg.mul(fam.to_matrix(a, i, j), fam.to_matrix(b, j, k))
-    return commutator(gen(ctx, i, j, a), gen(ctx, j, k, b)), gen(ctx, i, k, fam.project(c, i, k))
+    if ctx.scale is not None and fault != "drop-scale":
+        c = alg.scalar_mul(ctx.scale, c)
+    return lhs, gen(ctx, i, k, fam.project(c, i, k))
 
 
 def _common_support(w1, w2):
@@ -560,24 +567,29 @@ def test_inverse_negates_only_the_letter_cells(name, monkeypatch):
 
 
 AGREEMENT_GRIDS = {
-    "M3-Z4-units": (Zmod(4), 3, None),
-    "M3-GF4-units": (GF(2, [1, 1, 1]), 3, None),
-    "M4-Z2-[[0,1],[2,3]]": (Zmod(2), 4, [[0, 1], [2, 3]]),
+    # base ring, n, blocks (None for matrix units), homotope scale
+    "M3-Z4-units": (Zmod(4), 3, None, 2),
+    "M3-GF4-units": (GF(2, [1, 1, 1]), 3, None, 2),
+    "M4-Z2-[[0,1],[2,3]]": (Zmod(2), 4, [[0, 1], [2, 3]], 2),
+    # a 2-position block: the generic kernel on multi-cell letters, at a unit scale
+    "M4-GF4-[[0,1],[2],[3]]": (GF(2, [1, 1, 1]), 4, [[0, 1], [2], [3]], [0, 1]),
 }
 
 
-def _record_relation_sides(monkeypatch):
-    """Wrap words._relation_sides; each call appends (kind, x, y, fault,
-    verdict), x and y the two letters and verdict the st comparison."""
+def _record_relators(monkeypatch):
+    """Wrap words._relator; each call appends (kind, x, y, fault, verdict),
+    x and y the two letters and verdict whether st_eval of the whole
+    relator word is st_eval of the empty word."""
     seen = []
-    original = words_module._relation_sides
+    original = words_module._relator
 
     def recording(ctx, kind, first, second, fault=None):
-        lhs, rhs = original(ctx, kind, first, second, fault)
-        seen.append((kind, first[0], second[0], fault, st_eval(lhs) == st_eval(rhs)))
-        return lhs, rhs
+        letters = original(ctx, kind, first, second, fault)
+        ok = st_eval(Word(ctx, letters)) == st_eval(Word(ctx))
+        seen.append((kind, first[0], second[0], fault, ok))
+        return letters
 
-    monkeypatch.setattr(words_module, "_relation_sides", recording)
+    monkeypatch.setattr(words_module, "_relator", recording)
     return seen
 
 
@@ -590,38 +602,33 @@ def _instance_indices(kind, x, y):
 
 
 def _reference_verdict(ctx, kind, x, y, fault):
-    """check_relation_instance on the instance; for a fault, the dense
-    reference sides with the (St3) right side corrupted as the fault says."""
+    """Two-sided st comparison of the instance's dense reference sides,
+    with the (St3) right side corrupted as the fault says."""
     i, j, k, l = _instance_indices(kind, x, y)
-    if fault is None or kind != "St3":
-        return check_relation_instance(ctx, kind, i, j, k, l, x.a, y.a).ok
-    lhs, rhs = _relation_sides(ctx, kind, i, j, k, l, x.a, y.a)
-    if fault == "st3-zero":
-        rhs = word(ctx, [])
-    elif ctx.scale is not None:
-        fam = ctx.family
-        rhs = gen(ctx, i, k, fam.block_mul(x.a, i, j, y.a, k))
+    lhs, rhs = _relation_sides(ctx, kind, i, j, k, l, x.a, y.a, fault)
     return st_eval(lhs) == st_eval(rhs)
 
 
 @pytest.mark.parametrize("name", sorted(AGREEMENT_GRIDS))
 def test_grid_and_sampler_agree_with_check_relation_instance(name, monkeypatch):
     """Every instance the exhaustive grid and the sampler check, plain and
-    homotope, gets the verdict check_relation_instance gives it; under
-    st3-zero and drop-scale the sampler's verdicts are those of the dense
-    sides with the (St3) right side corrupted.  The grid visits each
-    (a, b) pair of each index tuple exactly once, in order."""
-    base, n, blocks = AGREEMENT_GRIDS[name]
+    homotope, gets the verdict of comparing st of its two dense reference
+    sides, and so does check_relation_instance; under st3-zero and
+    drop-scale the sampler's verdicts are those of the dense sides with
+    the (St3) right side corrupted.  Each relator's own verdict, st_eval
+    of the whole relator word, agrees too, and the grid counts exactly
+    the failing ones.  The grid visits each (a, b) pair of each index
+    tuple exactly once, in order."""
+    base, n, blocks, scale = AGREEMENT_GRIDS[name]
     A = MatrixAlgebra(base, n)
     fam = IdempotentFamily.matrix_units(A) if blocks is None else IdempotentFamily(A, blocks)
     kinds = ("St1", "St2", "St3") if fam.n >= 3 else ("St1", "St2")
-    seen = _record_relation_sides(monkeypatch)
+    seen = _record_relators(monkeypatch)
     flagged = 0
-    for ctx in (Context(fam), Context(fam, scale=base.element(2), level=1)):
+    for ctx in (Context(fam), Context(fam, scale=base.element(scale), level=1)):
         for kind in kinds:
             del seen[:]
             grid = exhaustive_relation_grid(ctx, kind)
-            # check_relation_instance records too, so read a copy
             got = list(seen)
             want = [
                 (a, b)
@@ -633,6 +640,9 @@ def test_grid_and_sampler_agree_with_check_relation_instance(name, monkeypatch):
             verdicts = [_reference_verdict(ctx, kind, x, y, None) for _, x, y, _, _ in got]
             assert verdicts == [ok for *_, ok in got]
             assert grid == {"checked": len(want), "violations": verdicts.count(False), "tuples_skipped": 0}
+            for (_, x, y, _, _), ok in zip(got, verdicts):
+                i, j, k, l = _instance_indices(kind, x, y)
+                assert check_relation_instance(ctx, kind, i, j, k, l, x.a, y.a).ok == ok
         for fault in (None, "st3-zero", "drop-scale"):
             del seen[:]
             out = sample_relations(ctx, random.Random(name), kinds, 60, fault)
@@ -645,6 +655,73 @@ def test_grid_and_sampler_agree_with_check_relation_instance(name, monkeypatch):
                 assert out[kind]["violations"] == verdicts.count(False)
                 flagged += verdicts.count(False)
     assert flagged > 0 or fam.n < 3
+
+
+def test_grid_prefix_columns_do_not_leak_between_second_payloads(monkeypatch):
+    """Negative control for the grid's shared columns of st(x): a relator
+    corrupted for exactly one (x, y) pair of one (St3) tuple, by dropping
+    its last letter, is the grid's only violation, and the next pair of
+    the same x, folded onto the same shared columns, still holds."""
+    fam = IdempotentFamily.matrix_units(MatrixAlgebra(Zmod(4), 3))
+    ctx = Context(fam)
+    # [x_12(1), x_23(1)] = x_13(1), so dropping x_13(-1) breaks the instance
+    target = (Letter(1, 2, (1,)), Letter(2, 3, (1,)))
+    pairs, verdicts = [], []
+    relator, folds_to_unit = words_module._relator, words_module._folds_to_unit
+
+    def corrupted(ctx, kind, first, second, fault=None):
+        letters = relator(ctx, kind, first, second, fault)
+        pairs.append((first[0], second[0]))
+        return letters[:-1] if pairs[-1] == target else letters
+
+    def recording(*args, **kwargs):
+        verdicts.append(folds_to_unit(*args, **kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(words_module, "_relator", corrupted)
+    monkeypatch.setattr(words_module, "_folds_to_unit", recording)
+    grid = exhaustive_relation_grid(ctx, "St3")
+    assert grid == {"checked": 6 * 4 * 4, "violations": 1, "tuples_skipped": 0}
+    assert len(pairs) == len(verdicts) == grid["checked"]
+    t = pairs.index(target)
+    assert [p for p, ok in zip(pairs, verdicts) if not ok] == [target]
+    assert pairs[t + 1] == (target[0], Letter(2, 3, (2,))) and verdicts[t + 1]
+
+
+EQUAL_WORDS_RINGS = {"Z6": (Zmod(6), 2), "GF4": (GF(2, [1, 1, 1]), [0, 1])}
+
+
+@pytest.mark.parametrize("name", sorted(EQUAL_WORDS_RINGS))
+def test_equal_words_agrees_with_st_images(name):
+    """equal_words decides w1 = w2 as st(w1 * w2^-1) = 1; its verdict is
+    that of comparing st(w1) with st(w2), plain and homotope, on random
+    words of unequal lengths, on the empty word, and on pairs equal by
+    (St3) that reduce_word does not identify.  Its grade is "word" or,
+    past reduction, "normal-form" exactly on a common unipotent support
+    of a plain context."""
+    base, scale = EQUAL_WORDS_RINGS[name]
+    fam = IdempotentFamily(MatrixAlgebra(base, 4), [[0, 1], [2], [3]])
+    rng = random.Random(name)
+    graded = set()
+    for ctx in (Context(fam), Context(fam, scale=base.element(scale), level=1)):
+        pairs = []
+        for _ in range(40):
+            sign = rng.choice((None, 1, -1))
+            w1 = random_word(ctx, rng, rng.randrange(4), sign=sign)
+            w2 = random_word(ctx, rng, rng.randrange(4), sign=sign)
+            i, j, k = rng.sample(list(fam.labels()), 3)
+            a, b = fam.sample_component(i, j, rng), fam.sample_component(j, k, rng)
+            lhs, rhs = _relation_sides(ctx, "St3", i, j, k, None, a, b)
+            pairs += [(w1, w2), (w1, Word(ctx)), (Word(ctx), w2), (w1 * lhs, w1 * rhs)]
+        pairs.append((Word(ctx), Word(ctx)))
+        for w1, w2 in pairs:
+            verdict, oracle = equal_words(w1, w2)
+            assert verdict == (st_eval(w1) == st_eval(w2)), (w1, w2)
+            if oracle != "word":
+                common = ctx.scale is None and _common_support(w1, w2)
+                assert oracle == ("normal-form" if common else "st")
+            graded.add((oracle, verdict))
+    assert graded == {("word", True), ("normal-form", True), ("normal-form", False), ("st", True), ("st", False)}
 
 
 def test_grid_builds_each_letter_once_per_tuple(monkeypatch):

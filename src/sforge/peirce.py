@@ -56,6 +56,11 @@ class IdempotentFamily:
         self._tuple_positions = {}
         self._inner = {}
         self._corner_algebras = {}
+        # cell_table[i][j] is cells(i, j) for labels i and j, built once here
+        # for MatrixAlgebra.fold_columns; entry 0 at each depth is unused
+        self.cell_table = [None] + [
+            [None] + [self.cells(i, j) for j in self.labels()] for i in self.labels()
+        ]
 
     @classmethod
     def matrix_units(cls, algebra):
@@ -75,7 +80,8 @@ class IdempotentFamily:
         """The matrix positions (r, c) of the component R_ij, row by row.
 
         i and j are block labels, or tuples of labels standing for the sum
-        of their idempotents.  Built on first use and cached.
+        of their idempotents.  Label pairs are built on construction, for
+        cell_table; tuple labels on first use, and cached.
         """
         got = self._cells.get((i, j))
         if got is None:

@@ -541,48 +541,54 @@ class MatrixAlgebra:
             out.append(tuple(orow))
         return tuple(out)
 
-    def add_column_multiples(self, cols, cells, values, scale=None):
-        """Right-multiply by a letter's 1 + a, on a list of columns, in place.
+    def fold_columns(self, cols, cells, letters, scale=None):
+        """Right-multiply a list of columns by the st image of letters, in
+        place, and return the list.
 
-        cells and values are the letter's cells (k, c) and its block values:
-        for each nonzero value v, column c += column k * v.  No k may also
-        be a c, so every update reads columns the others leave unchanged.
-        With a scale s this is the homotope step acc -> s*acc*a + acc + a:
-        column c += column k * (s v), then v is added at (k, c).  Each
-        update builds a new column list and stores it in cols; no column
-        is ever changed in place.  So the columns may start as tuples, and
-        a shallow copy of a buffer can be updated while the buffer, and
-        every other copy sharing its column lists, stays as it was: the
-        exhaustive relation grid shares the columns of st(x) that way.
+        A letter (i, j, a) is x_ij(a), its block values a on cells[i][j]
+        (IdempotentFamily.cell_table).  Each nonzero value v at (k, c) does
+        column c += column k * v, the product by 1 + a; no k is also a c.
+        With a scale s a letter is the homotope step s*acc*a + acc + a:
+        column c += column k * (s v), then v is added at (k, c).  The branch
+        and the base ring's operations are found once per call.  Each update
+        stores a new column list; no column is changed in place.  So the
+        columns may start as tuples, and a shallow copy of a buffer can be
+        folded while the buffer, and every copy sharing its column lists,
+        stays as it was: the exhaustive relation grid shares the columns of
+        st(x) that way.
         """
         m = self._mod
         if m is not None:
             if scale is None:
-                for (k, c), v in zip(cells, values):
+                for i, j, a in letters:
+                    for (k, c), v in zip(cells[i][j], a):
+                        if v:
+                            cols[c] = [(y + x * v) % m for x, y in zip(cols[k], cols[c])]
+                return cols
+            for i, j, a in letters:
+                for (k, c), v in zip(cells[i][j], a):
                     if v:
-                        cols[c] = [(y + x * v) % m for x, y in zip(cols[k], cols[c])]
-                return
-            for (k, c), v in zip(cells, values):
-                if v:
-                    sv = scale * v % m
-                    col = [(y + x * sv) % m for x, y in zip(cols[k], cols[c])]
-                    col[k] = (col[k] + v) % m
-                    cols[c] = col
-            return
+                        sv = scale * v % m
+                        col = [(y + x * sv) % m for x, y in zip(cols[k], cols[c])]
+                        col[k] = (col[k] + v) % m
+                        cols[c] = col
+            return cols
         base = self.base
         zero = base.zero
-        add, mul = base.add, base.mul
-        for (k, c), v in zip(cells, values):
-            if v == zero:
-                continue
-            sv = v if scale is None else base.scalar_mul(scale, v)
-            col = [
-                y if x == zero else add(y, mul(x, sv))
-                for x, y in zip(cols[k], cols[c])
-            ]
-            if scale is not None:
-                col[k] = add(col[k], v)
-            cols[c] = col
+        add, mul, scalar_mul = base.add, base.mul, base.scalar_mul
+        for i, j, a in letters:
+            for (k, c), v in zip(cells[i][j], a):
+                if v == zero:
+                    continue
+                sv = v if scale is None else scalar_mul(scale, v)
+                col = [
+                    y if x == zero else add(y, mul(x, sv))
+                    for x, y in zip(cols[k], cols[c])
+                ]
+                if scale is not None:
+                    col[k] = add(col[k], v)
+                cols[c] = col
+        return cols
 
     def add_row_multiples(self, rows, cells, values):
         """Left-multiply by a letter's 1 + a, on a list of row lists, in place.

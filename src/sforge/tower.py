@@ -16,7 +16,10 @@ annihilates.
 
 Actors over the localized ring (payloads given as numerator/denominator
 pairs) act on words letter by letter; st is equivariant for the action
-after embedding both sides into GL over the localized scalar ring.  An
+after embedding both sides into GL over the localized scalar ring.  That
+embedding is the localized image (LocalizedTower.image): the plain st
+image over the localized ring of the letters psi(s^k a), one
+MatrixAlgebra.fold_columns, so no homotope fold is embedded entrywise.  An
 actor carries only block values: its numerator's on its component, and
 for a diagonal actor also those of its inverse.  They multiply the block
 values of the letters it acts on, and on the GL side conjugation uses
@@ -43,7 +46,6 @@ from .words import (
     reduce_word,
     require_blocks,
     sample_relations,
-    st_eval,
 )
 
 
@@ -198,9 +200,11 @@ class LocalizedTower:
     """The matrix algebra over the localized scalar ring, with transfer maps.
 
     psi = scalar_loc.psi is the scalar localization, applied entrywise;
-    scalar_loc.lift is a set-level section of it.  gamma(k, q) =
-    1 + psi(s^k * q) embeds the level-k quasi-invertible elements into the
-    localized unit group.
+    scalar_loc.lift is a set-level section of it.  The localized image
+    1 + psi(s^k * q) embeds the level-k quasi-invertible elements q into
+    the localized unit group; image(w) computes it for q = st(w) as one
+    MatrixAlgebra.fold_columns, with no homotope fold and no pass over the
+    n x n entries of q.
     """
 
     def __init__(self, tower):
@@ -219,17 +223,21 @@ class LocalizedTower:
             v = self.scalar_loc.ring.mul(v, self._s_inv)
         return v
 
-    def gamma(self, k, q):
-        """1 + psi(s^k * q), the localized image of a level-k element,
-        in one pass over the entries of q."""
-        s = self.tower.scale(k)
+    def image(self, w):
+        """1 + psi(s^k * st(w)), the localized image of a level-k word w.
+
+        Since 1 + s^k (s^k x y + x + y) = (1 + s^k x)(1 + s^k y), this is
+        the plain st image, over the localized ring, of the letters
+        psi(s^k a): one fold of the identity's columns, transposed.  The
+        cells are positions, so the word's own family gives them.
+        """
+        ctx = w.context
+        s = ctx.scale
         mul = self.tower.scalar.scalar_mul
         psi = self.scalar_loc.psi
-        base = self.algebra.base
-        rows = [[psi(mul(s, x)) for x in row] for row in q]
-        for t, row in enumerate(rows):
-            row[t] = base.add(base.one, row[t])
-        return tuple(map(tuple, rows))
+        letters = [(i, j, [psi(mul(s, x)) for x in a]) for i, j, a in w.letters]
+        cols = [list(c) for c in self.algebra.one]
+        return tuple(zip(*self.algebra.fold_columns(cols, ctx.family.cell_table, letters)))
 
     def conj(self, actor, x):
         """g x g^-1 for the localized image g of the actor, from its block
@@ -237,9 +245,10 @@ class LocalizedTower:
 
         A root actor is g = 1 + v with v = psi(num)/s^den in R_ij and
         g^-1 = 1 - v: MatrixAlgebra.add_row_multiples gives the block-i
-        rows v times the block-j rows, then add_column_multiples gives the
-        block-j columns the block-i columns times -v.  Both kernels need
-        no row (column) to be both source and target, which i != j grants.
+        rows v times the block-j rows, then fold_columns of the one letter
+        x_ij(-v) gives the block-j columns the block-i columns times -v.
+        Both kernels need no row (column) to be both source and target,
+        which i != j grants.
         A diagonal actor is g = 1 - e_i + u with u = psi(num)/s^den in R_ii
         and g^-1 = 1 - e_i + psi(inv_block); its corner is both source and
         target, so the block-i rows become u times themselves, then the
@@ -256,11 +265,11 @@ class LocalizedTower:
         a = tuple([base.mul(c, psi(y)) for y in actor.block])
         i = actor.i
         if isinstance(actor, RootActor):
-            cells = fam.cells(i, actor.j)
+            j = actor.j
             rows = list(x)
-            alg.add_row_multiples(rows, cells, a)
+            alg.add_row_multiples(rows, fam.cells(i, j), a)
             cols = list(zip(*rows))
-            alg.add_column_multiples(cols, cells, map(base.neg, a))
+            alg.fold_columns(cols, fam.cell_table, ((i, j, tuple(map(base.neg, a))),))
             return tuple(zip(*cols))
         every = tuple(fam.labels())
         b = tuple(map(psi, actor.inv_block))
@@ -381,11 +390,15 @@ def presented_source(tower, actor, w):
     conjugation-stable at positive levels; the action reads it through
     express_as_commutators(ctx, j, i, a) over the smallest outside block
     (at level 0 the presentation and the letter have the same st image).
-    All other letters are returned unchanged.
+    All other letters are returned unchanged, and a word with no letter
+    to expand is returned itself: no expansion has an opposite-root
+    letter, so presenting a presented source changes nothing.
     """
     if not isinstance(actor, RootActor):
         return w
     i, j = actor.i, actor.j
+    if all((L.i, L.j) != (j, i) for L in w.letters):
+        return w
     out = []
     for L in w.letters:
         if (L.i, L.j) == (j, i):
@@ -398,27 +411,23 @@ def presented_source(tower, actor, w):
 def ad_equivariance_check(tower, actor, w):
     """(holds, acted word): compare both sides inside the localized units.
 
-    The right side conjugates the presented source word; on words without
-    opposite-root letters that word is w itself and the check is the
-    plain equivariance statement.  tower_ad reads the same presented
-    source, so a fault in express_as_commutators cancels out here; that
-    expansion is checked against st of the letter on its own.
+    The right side conjugates the localized image of the presented source
+    word; on words without opposite-root letters that word is w itself
+    and the check is the plain equivariance statement.  The presented
+    source is built once, and tower_ad acts on it, so a fault in
+    express_as_commutators cancels out here; that expansion is checked
+    against st of the letter on its own.
     """
     loc = tower.localized()
-    out = tower_ad(tower, actor, w)
     src = presented_source(tower, actor, w)
-    lhs = loc.gamma(out.context.level, st_eval(out))
-    rhs = loc.conj(actor, loc.gamma(src.context.level, st_eval(src)))
-    return lhs == rhs, out
-
-
-def _gamma_of_word(tower, w):
-    return tower.localized().gamma(w.context.level, st_eval(w))
+    out = tower_ad(tower, actor, src)
+    return loc.image(out) == loc.conj(actor, loc.image(src)), out
 
 
 def equal_after_localization(tower, w1, w2):
     """st-image comparison of leveled words in the localized units."""
-    return _gamma_of_word(tower, w1) == _gamma_of_word(tower, w2)
+    loc = tower.localized()
+    return loc.image(w1) == loc.image(w2)
 
 
 def _sample_diag_actor(tower, rng, i, den):

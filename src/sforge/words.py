@@ -7,10 +7,11 @@ row, never an n x n matrix.  Letters are evaluated, inverted, conjugated
 and multiplied on those values; matrices appear only as st images and
 on the wire.  A DiagonalElement is likewise the block values of its
 corner units, with their inverses computed once, on construction.
-One letter loop, _fold, hands each letter's cells and block values to
-MatrixAlgebra.add_column_multiples in sforge.rings, the one column
-update for the plain product and the homotope fold; st_eval folds onto
-the identity's columns and transposes.
+One kernel, MatrixAlgebra.fold_columns in sforge.rings, folds a whole
+word's letters onto a list of columns, reading each letter's cells from
+the family's cell_table; it is the one column update for the plain
+product and the homotope fold.  st_eval folds onto the identity's
+columns and transposes.
 A relation instance lhs = rhs is decided as one word, its relator
 lhs * rhs^-1 (_relator, the one construction of relation words, from
 validated letters paired with their negations): the instance holds
@@ -43,8 +44,7 @@ the Steinberg group exactly; no normal form need be computed for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .peirce import IndexClash, morita_decompose
 from .rings import NotInvertible, SforgeError
@@ -82,16 +82,11 @@ def require_blocks(fam, need, what):
         )
 
 
-class Letter(NamedTuple):
-    """x_ij(a), with a the tuple of block values of R_ij at fam.cells(i, j)."""
-
-    i: int
-    j: int
-    a: object
+Letter = namedtuple("Letter", "i j a")
+Letter.__doc__ = "x_ij(a), with a the tuple of block values of R_ij at fam.cells(i, j)."
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(namedtuple("Context", "family scale level", defaults=(None, None))):
     """Where a word lives: the family plus an optional homotope scale.
 
     scale is None for plain words; otherwise it is the element of the
@@ -99,9 +94,7 @@ class Context:
     bookkeeping used by towers (scale == s**level there).
     """
 
-    family: object
-    scale: object = None
-    level: object = None
+    __slots__ = ()
 
     @property
     def algebra(self):
@@ -189,20 +182,6 @@ def word(ctx, items):
     return out
 
 
-def _fold(cols, fam, letters, scale):
-    """Fold the letters onto a list of columns, in place, and return it.
-
-    This is the one letter loop: each letter x_ij(a) right-multiplies the
-    columns by 1 + a, or takes the homotope step at the scale, through
-    MatrixAlgebra.add_column_multiples.
-    """
-    cells = fam.cells
-    update = fam.algebra.add_column_multiples
-    for i, j, a in letters:
-        update(cols, cells(i, j), a, scale)
-    return cols
-
-
 def _unit_columns(ctx):
     """The columns of st of the empty word, as lists: the identity, or zero
     in a homotope context.  one and zero are symmetric, so their rows are
@@ -223,13 +202,15 @@ def st_eval(w):
     disjoint.  So m(1 + a) = m + ma changes only the block-j columns, by
     m[:, c] += sum over k in block i of m[:, k] a[k][c]; the homotope step
     s*acc*a + acc + a is the same update scaled by s, plus a on its cells.
-    _fold applies that column update (MatrixAlgebra.add_column_multiples)
-    letter by letter to the identity's columns, and st_eval transposes
-    the result: a letter costs O(n |block i| |block j|) ring operations,
-    not the O(n^3) of a matrix product.
+    MatrixAlgebra.fold_columns applies that column update for every letter
+    to the identity's columns, and st_eval transposes the result: a letter
+    costs O(n |block i| |block j|) ring operations, not the O(n^3) of a
+    matrix product.
     """
     ctx = w.context
-    return tuple(zip(*_fold(_unit_columns(ctx), ctx.family, w.letters, ctx.scale)))
+    fam = ctx.family
+    cols = fam.algebra.fold_columns(_unit_columns(ctx), fam.cell_table, w.letters, ctx.scale)
+    return tuple(zip(*cols))
 
 
 def _folds_to_unit(ctx, letters, cols=None, unit=None):
@@ -238,14 +219,15 @@ def _folds_to_unit(ctx, letters, cols=None, unit=None):
     cols defaults to the identity's columns (zero in a homotope context)
     and unit, the columns compared with, to _unit_columns(ctx); callers
     that test many words pass unit once.  Nothing is transposed.  The copy
-    is shallow: add_column_multiples replaces a column and never changes
-    one, so cols is left as it was, and every column no letter touched is
-    still unit's own list and compares by identity.
+    is shallow: MatrixAlgebra.fold_columns replaces a column and never
+    changes one, so cols is left as it was, and every column no letter
+    touched is still unit's own list and compares by identity.
     """
     if unit is None:
         unit = _unit_columns(ctx)
+    fam = ctx.family
     buf = (unit if cols is None else cols)[:]
-    return _fold(buf, ctx.family, letters, ctx.scale) == unit
+    return fam.algebra.fold_columns(buf, fam.cell_table, letters, ctx.scale) == unit
 
 
 def support_sign(w):
@@ -360,10 +342,7 @@ def equal_words(w1, w2):
     return _folds_to_unit(w.context, w.letters), oracle
 
 
-class RelationCheck(NamedTuple):
-    ok: bool
-    oracle: str
-    relation: str
+RelationCheck = namedtuple("RelationCheck", "ok oracle relation")
 
 
 def check_relation_instance(ctx, kind, i, j, k=None, l=None, a=None, b=None):
@@ -665,11 +644,11 @@ def exhaustive_relation_grid(ctx, kind, cap=256):
     built once per tuple, not once per pair.  Every relator begins with
     x (_relator), so the columns of st(x) are folded once per first
     payload, and each second payload y folds the rest of its relator onto
-    a shallow copy of them: add_column_multiples never changes a column
-    in place, so the shared columns stay those of st(x).
+    a shallow copy of them: MatrixAlgebra.fold_columns never changes a
+    column in place, so the shared columns stay those of st(x).
     """
     fam = ctx.family
-    s = ctx.scale
+    fold, table, s = fam.algebra.fold_columns, fam.cell_table, ctx.scale
     unit = _unit_columns(ctx)
     checked = bad = skipped = 0
     for i, j, k, l in relation_index_tuples(fam, kind):
@@ -681,7 +660,7 @@ def exhaustive_relation_grid(ctx, kind, cap=256):
         firsts = [_signed_letter(fam, i, j, a) for a in fam.component_elements(i, j)]
         seconds = [_signed_letter(fam, *second, b) for b in fam.component_elements(*second)]
         for x in firsts:
-            pre = _fold(unit[:], fam, (x[0],), s)
+            pre = fold(unit[:], table, (x[0],), s)
             for y in seconds:
                 bad += not _folds_to_unit(ctx, _relator(ctx, kind, x, y)[1:], pre, unit)
         checked += len(firsts) * len(seconds)

@@ -276,6 +276,22 @@ def run_cli_process(argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    """Importing sforge.cli loads none of dataclasses, inspect or typing,
+    which every command would pay for at start-up (dataclasses imports
+    inspect).  -S keeps the site module's own imports out of the test."""
+    src = os.path.dirname(os.path.dirname(sforge.__file__))
+    probe = (
+        "import sys; sys.path.insert(0, %r); import sforge.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))"
+    ) % src
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_gauss_exhaustive_past_its_bound_exits_two_at_once(tmp_path):
     """M(4, Z/12) has 12^16 matrices: refused before any work, with a
     message naming the bound, an empty stdout and no traceback."""

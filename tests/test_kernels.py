@@ -1,7 +1,8 @@
 """Differential tests: the block-value letter kernels against dense matrix products.
 
-A letter carries the block values of its payload, and st_eval and
-u_normal_form update only the columns (rows) a letter can touch.  The
+A letter carries the block values of its payload, and st_eval (through
+MatrixAlgebra.fold_columns) and u_normal_form update only the columns
+(rows) a letter can touch.  The
 references below put each payload back into its n x n matrix and
 evaluate the same words with full products in the matrix algebra, the
 way words were evaluated before the kernels.
@@ -248,12 +249,32 @@ def dense_step(fam, m, L, s):
     return alg.add(alg.scalar_mul(s, alg.mul(m, a)), alg.add(m, a))
 
 
+def long_words(fam, rng, count=120):
+    """Random words of 3 and 4 letters from all_letters, which holds the
+    zero payload of every component; every third word also has one
+    letter replaced by a zero letter, so zero payloads sit amid nonzero
+    ones."""
+    letters = all_letters(fam)
+    zeros = [L for L in letters if fam.is_zero(L.a)]
+    words = []
+    for t in range(count):
+        w = [rng.choice(letters) for _ in range(3 + t % 2)]
+        if t % 3 == 0:
+            w[rng.randrange(len(w))] = rng.choice(zeros)
+        words.append(tuple(w))
+    assert any(fam.is_zero(L.a) for w in words for L in w)
+    assert any(not fam.is_zero(L.a) for w in words for L in w)
+    return words
+
+
 @pytest.mark.parametrize("name", KERNEL_GRIDS)
 def test_column_kernel_matches_dense_reference(name):
-    """MatrixAlgebra.add_column_multiples against multiplying out 1 + a:
-    every one- and two-letter word, plain and at three homotope scales,
-    from the identity, from zero and from random start matrices.  Z/m
-    rings take the kernel's Z/m branch, GF(4) its generic one."""
+    """MatrixAlgebra.fold_columns against multiplying out 1 + a letter by
+    letter: every one- and two-letter word, and random words of three and
+    four letters with zero payloads mixed in, each folded in one call,
+    plain and at three homotope scales, from the identity, from zero and
+    from random start matrices.  Z/m rings take the kernel's Z/m branch,
+    GF(4) its generic one."""
     fam = GRIDS[name]
     alg = fam.algebra
     assert (alg._mod is None) == isinstance(alg.base, GF)
@@ -265,43 +286,64 @@ def test_column_kernel_matches_dense_reference(name):
     scales = [None] + [scalar(alg.base, k) for k in SCALES]
     letters = all_letters(fam)
     words = [(L,) for L in letters] + list(itertools.product(letters, repeat=2))
+    words += long_words(fam, rng)
     for s in scales:
         for m in starts:
             for w in words:
                 cols = list(zip(*m))
+                assert alg.fold_columns(cols, fam.cell_table, w, s) is cols
                 want = m
                 for L in w:
-                    alg.add_column_multiples(cols, fam.cells(L.i, L.j), L.a, s)
                     want = dense_step(fam, want, L, s)
                 assert tuple(zip(*cols)) == want
-    # a zero letter leaves every column as it was: zero values are skipped
-    cols = list(alg.one)
-    zero_letter = next(L for L in letters if fam.is_zero(L.a))
-    alg.add_column_multiples(cols, fam.cells(zero_letter.i, zero_letter.j), zero_letter.a, scales[-1])
-    assert all(col is row for col, row in zip(cols, alg.one))
+    # zero letters leave every column as it was: zero values are skipped
+    zeros = tuple(L for L in letters if fam.is_zero(L.a))
+    for w in [zeros[:1], zeros]:
+        cols = list(alg.one)
+        alg.fold_columns(cols, fam.cell_table, w, scales[-1])
+        assert all(col is row for col, row in zip(cols, alg.one))
 
 
 @pytest.mark.parametrize("name", KERNEL_GRIDS)
 def test_column_kernel_never_changes_a_column_in_place(name):
-    """add_column_multiples replaces each column it updates and changes
-    no column list in place, so folding letters onto a shallow copy of a
-    buffer leaves the buffer's own column lists as they were: the relation
-    grid shares the columns of st(x) across every second payload on that
-    guarantee.  Z/m rings take the kernel's Z/m branch, GF(4) its generic
-    one, plain and at three homotope scales."""
+    """fold_columns replaces each column it updates and changes no column
+    list in place, so folding letters onto a shallow copy of a buffer
+    leaves the buffer's own column lists as they were: the relation grid
+    shares the columns of st(x) across every second payload on that
+    guarantee.  Every nonzero letter, and random words of three and four
+    letters with zero payloads mixed in; Z/m rings take the kernel's Z/m
+    branch, GF(4) its generic one, plain and at three homotope scales."""
     fam = GRIDS[name]
     alg = fam.algebra
     rng = random.Random(name)
     elements = list(alg.base.elements())
-    letters = [L for L in all_letters(fam) if not fam.is_zero(L.a)]
+    words = [(L,) for L in all_letters(fam) if not fam.is_zero(L.a)]
+    words += long_words(fam, rng)
     for s in [None] + [scalar(alg.base, k) for k in SCALES]:
-        for L in letters:
+        for w in words:
             cols = [[rng.choice(elements) for _ in range(alg.n)] for _ in range(alg.n)]
             objects = list(cols)
             values = [list(c) for c in cols]
             buf = cols[:]
-            alg.add_column_multiples(buf, fam.cells(L.i, L.j), L.a, s)
+            alg.fold_columns(buf, fam.cell_table, w, s)
             assert all(c is o for c, o in zip(cols, objects))
             assert cols == values
-            touched = {c for (_, c), v in zip(fam.cells(L.i, L.j), L.a) if v != alg.base.zero}
+            touched = {
+                c
+                for L in w
+                for (_, c), v in zip(fam.cells(L.i, L.j), L.a)
+                if v != alg.base.zero
+            }
             assert all((buf[c] is cols[c]) == (c not in touched) for c in range(alg.n))
+
+
+def test_cell_table_holds_every_label_pair():
+    """cell_table[i][j] is cells(i, j), the same tuple, for every pair of
+    labels; tuple labels are still served by cells() alone."""
+    for fam in list(GRIDS.values()) + [IdempotentFamily(MatrixAlgebra(Zmod(6), 5), [[0], [1], [2, 4], [3]])]:
+        table = fam.cell_table
+        assert len(table) == fam.n + 1 and all(len(row) == fam.n + 1 for row in table[1:])
+        for i in fam.labels():
+            for j in fam.labels():
+                assert table[i][j] is fam.cells(i, j)
+                assert table[i][j] == tuple((r, c) for r in fam.support(i) for c in fam.support(j))

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,12 +8,14 @@ from sforge import (
     DiagActor,
     HomotopeTower,
     IdempotentFamily,
+    Letter,
     LevelBudgetExceeded,
     MatrixAlgebra,
     NoArrow,
     NonInvertibleComponent,
     RankTooSmall,
     RootActor,
+    Word,
     Zmod,
     actor_relation_suite,
     ad_equivariance_check,
@@ -138,16 +141,68 @@ def test_localized_transfer_maps(tower, rng):
     assert L.mul(loc.s_unit, loc.s_pow_inv(1)) == L.one
 
 
+def gamma(tower, k, q):
+    """1 + psi(s^k * q), the localized image of a level-k element q of the
+    n x n matrices, entry by entry: the oracle for LocalizedTower.image."""
+    loc = tower.localized()
+    s = tower.scale(k)
+    mul = tower.scalar.scalar_mul
+    psi = loc.scalar_loc.psi
+    base = loc.algebra.base
+    rows = [[psi(mul(s, x)) for x in row] for row in q]
+    for t, row in enumerate(rows):
+        row[t] = base.add(base.one, row[t])
+    return tuple(map(tuple, rows))
+
+
 def test_gamma_turns_circle_into_product(tower, rng):
+    """gamma sends the level-k circle product x + y + s^k xy to the
+    product of the images: the identity LocalizedTower.image rests on."""
     loc = tower.localized()
     alg = tower.algebra
     for _ in range(100):
         k = rng.randrange(5)
         x, y = random_element(alg, rng), random_element(alg, rng)
         circ = alg.add(alg.add(x, y), _level_mul(tower, k, x, y))
-        lhs = loc.gamma(k, circ)
-        rhs = loc.algebra.mul(loc.gamma(k, x), loc.gamma(k, y))
+        lhs = gamma(tower, k, circ)
+        rhs = loc.algebra.mul(gamma(tower, k, x), gamma(tower, k, y))
         assert lhs == rhs
+
+
+# (base, n, blocks or None for the units family, s, k_max); each k_max is
+# the least budget whose levels reach every power of s
+IMAGE_CASES = {
+    "M4-Z12-s2": (Zmod(12), 4, None, 2, 3),  # 1, 2, 4, 8; localizes to Z/3
+    "M4-GF4-s[0,1]": (GF(2, [1, 1, 1]), 4, None, (0, 1), 2),  # s is a unit of order 3
+    "M5-Z6-[[0],[1],[2,4],[3]]-s2": (Zmod(6), 5, [[0], [1], [2, 4], [3]], 2, 2),  # 1, 2, 4
+}
+
+
+@pytest.mark.parametrize("name", sorted(IMAGE_CASES))
+def test_localized_image_is_gamma_of_st(name):
+    """LocalizedTower.image(w), one plain fold over the localized ring of
+    the letters psi(s^k a), equals gamma of the homotope st image at the
+    word's level k, for every word of one and two letters (zero payloads
+    included) at every level 0..k_max."""
+    base, n, blocks, s, k_max = IMAGE_CASES[name]
+    A = MatrixAlgebra(base, n)
+    fam = IdempotentFamily.matrix_units(A) if blocks is None else IdempotentFamily(A, blocks)
+    tower = HomotopeTower(fam, s, k_max=k_max)
+    assert {tower.scale(k) for k in range(k_max + 1)} == {tower.scale(k) for k in range(50)}
+    loc = tower.localized()
+    letters = [
+        Letter(i, j, a)
+        for i in fam.labels()
+        for j in fam.labels()
+        if i != j
+        for a in fam.component_elements(i, j)
+    ]
+    words = [(L,) for L in letters] + list(itertools.product(letters, repeat=2))
+    for k in range(tower.k_max + 1):
+        ctx = tower.context(k)
+        for w in words:
+            word = Word(ctx, w)
+            assert loc.image(word) == gamma(tower, k, st_eval(word)), (k, w)
 
 
 def test_identity_actor_fixes_words(tower, rng):

@@ -204,9 +204,15 @@ class IdempotentFamily:
         """A uniform element of R_ij, as block values: one draw per cell.
 
         Each draw is the base ring's choice(rng), which lists no elements.
+        A label pair's cells are read off cell_table; tuple labels, as in
+        cells(), cannot index it and go through cells().
         """
         choice = self.algebra.base.choice
-        return tuple([choice(rng) for _ in self.cells(i, j)])
+        try:
+            cells = self.cell_table[i][j]
+        except TypeError:
+            cells = self.cells(i, j)
+        return tuple([choice(rng) for _ in cells])
 
     def corner_inv(self, u, i):
         """The block values of the inverse of u inside the corner e_i R e_i.

@@ -14,7 +14,7 @@ product and the homotope fold.  st_eval folds onto the identity's
 columns and transposes.
 A relation instance lhs = rhs is decided as one word, its relator
 lhs * rhs^-1 (_relator, the one construction of relation words, from
-validated letters paired with their negations): the instance holds
+valid letters paired with their negations): the instance holds
 exactly when st sends the relator to the identity, which is tested on
 one column buffer without transposing.  Word equality is decided the
 same way, on w1 * w2^-1.  Every relator begins with its first payload's
@@ -167,9 +167,10 @@ def _letter(fam, i, j, a):
     """The validated letter x_ij(a), as gen() validates it."""
     _check_indices(fam, i, j)
     a = tuple(a)
-    if len(a) != len(fam.cells(i, j)):
+    size = len(fam.cell_table[i][j])
+    if len(a) != size:
         raise SideConditionViolated(
-            "payload has %d values; R_%d%d has %d cells" % (len(a), i, j, len(fam.cells(i, j)))
+            "payload has %d values; R_%d%d has %d cells" % (len(a), i, j, size)
         )
     return Letter(i, j, a)
 
@@ -376,10 +377,14 @@ def _check_side_conditions(kind, i, j, k, l):
         raise ValueError("unknown relation %r" % (kind,))
 
 
+def _signed(fam, i, j, a):
+    """(x_ij(a), x_ij(-a)) for the block values a of R_ij, unvalidated."""
+    return Letter(i, j, a), Letter(i, j, tuple(map(fam.algebra.base.neg, a)))
+
+
 def _signed_letter(fam, i, j, a):
     """(x_ij(a), x_ij(-a)), validated as gen() validates x_ij(a)."""
-    x = _letter(fam, i, j, a)
-    return x, Letter(i, j, tuple(map(fam.algebra.base.neg, x.a)))
+    return _signed(fam, *_letter(fam, i, j, a))
 
 
 def _instance_relator(ctx, kind, i, j, k, l, a, b, fault=None):
@@ -398,7 +403,9 @@ def _relator(ctx, kind, first, second, fault=None):
     """The letters of lhs * rhs^-1 for one relation instance; it begins with x.
 
     first and second are the signed letters (x, x^-1) and (y, y^-1) of the
-    two payloads a and b, validated and past the side conditions.  The
+    two payloads a and b, valid and past the side conditions: validated
+    by _signed_letter and _check_side_conditions, or valid as drawn by
+    sample_relations.  The
     instance holds exactly when st sends the relator to the identity (see
     equal_words):
 
@@ -681,22 +688,27 @@ def sample_relations(ctx, rng, kinds, samples, fault=None):
 
     Each instance draws its index tuple, then a in R_ij, then b from the
     component _second_component names, and holds when st sends its
-    relator (_relator) to the identity.  fault corrupts the (St3) right
-    side on purpose: "st3-zero" replaces x_ik(ab) by the empty word,
-    "drop-scale" leaves the homotope scale off ab.  Returns
+    relator (_relator) to the identity.  The draws need no validation:
+    random_relation_indices returns only tuples past the side conditions,
+    and sample_component draws one value per cell, so the signed letters
+    are built from them directly and the relator is folded onto a shallow
+    copy of the unit's columns.  fault corrupts the (St3) right side on
+    purpose: "st3-zero" replaces x_ik(ab) by the empty word, "drop-scale"
+    leaves the homotope scale off ab.  Returns
     {kind: {"checked", "violations"}}.
     """
     fam = ctx.family
+    fold, table, s = fam.algebra.fold_columns, fam.cell_table, ctx.scale
     unit = _unit_columns(ctx)
     out = {}
     for kind in kinds:
         bad = 0
         for _ in range(samples):
             i, j, k, l = random_relation_indices(fam, rng, kind)
-            a = fam.sample_component(i, j, rng)
-            b = fam.sample_component(*_second_component(kind, i, j, k, l), rng)
-            letters = _instance_relator(ctx, kind, i, j, k, l, a, b, fault)
-            bad += not _folds_to_unit(ctx, letters, unit=unit)
+            p, q = _second_component(kind, i, j, k, l)
+            x = _signed(fam, i, j, fam.sample_component(i, j, rng))
+            y = _signed(fam, p, q, fam.sample_component(p, q, rng))
+            bad += fold(unit[:], table, _relator(ctx, kind, x, y, fault), s) != unit
         out[kind] = {"checked": samples, "violations": bad}
     return out
 

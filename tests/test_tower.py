@@ -30,6 +30,8 @@ from sforge import (
     tower_ad,
     tower_relation_suite,
 )
+from sforge import tower as tower_module
+from sforge.tower import presented_source
 
 
 @pytest.fixture
@@ -228,10 +230,12 @@ def test_equivariance_scan_all_levels(tower, rng, monkeypatch):
         if actor is None:
             continue
         w = random_word(tower.context(k_out + den), rng, rng.randrange(1, 4))
-        # both sides are compared without an n x n inverse or product
+        # both sides are compared without an n x n inverse or product,
+        # and without conjugating an image
         with monkeypatch.context() as mp:
             mp.setattr(MatrixAlgebra, "inv", _refuse)
             mp.setattr(MatrixAlgebra, "mul", _refuse)
+            mp.setattr(tower_module.LocalizedTower, "conj", _refuse)
             holds, out = ad_equivariance_check(tower, actor, w)
         assert holds
         assert out.context.level == k_out
@@ -345,6 +349,148 @@ def test_conj_matches_the_dense_reference(name, monkeypatch):
         assert y == _dense_conj(tower, actor, x), actor
     kinds = {type(actor) for actor in actors}
     assert kinds == {DiagActor, RootActor}
+
+
+BLOCKS = [[0], [1], [2, 4], [3]]
+
+# (base, n, blocks or None for the units family, s)
+INTERTWINE_CASES = {
+    "M4-Z12-s2": (Zmod(12), 4, None, 2),  # localizes to Z/3
+    "M5-GF4-[[0],[1],[2,4],[3]]-s[0,1]": (GF(2, [1, 1, 1]), 5, BLOCKS, (0, 1)),
+    "M5-Z6-[[0],[1],[2,4],[3]]-s2": (Zmod(6), 5, BLOCKS, 2),  # localizes to Z/3
+}
+
+
+def _intertwine_tower(name, k_max=3):
+    base, n, blocks, s = INTERTWINE_CASES[name]
+    A = MatrixAlgebra(base, n)
+    fam = IdempotentFamily.matrix_units(A) if blocks is None else IdempotentFamily(A, blocks)
+    return HomotopeTower(fam, s, k_max=k_max)
+
+
+@pytest.mark.parametrize("name", sorted(INTERTWINE_CASES))
+def test_intertwines_matches_conjugating_the_image(name):
+    """LocalizedTower.intertwines(actor, out, src), image(out) g == g
+    image(src) on folded columns, is image(out) == conj(actor, image(src))
+    for a diagonal actor at every label and a root actor at every pair, at
+    every source level 0..k_max and den in {0, 1}.  Each source word ends
+    in a letter at the root actor's opposite root (j, i), and is compared
+    raw and presented; each is paired with its acted word, that word
+    without its last letter, and a random word, so both verdicts occur for
+    both kinds of actor."""
+    tower = _intertwine_tower(name)
+    fam = tower.family
+    loc = tower.localized()
+    rng = random.Random(name)
+    labels = list(fam.labels())
+    verdicts = set()
+    for level in range(tower.k_max + 1):
+        ctx = tower.context(level)
+        for den in (0, 1):
+            if den > level:
+                continue
+            actors = [tower_module._sample_diag_actor(tower, rng, i, den) for i in labels]
+            assert None not in actors
+            actors += [
+                RootActor(tower, i, j, fam.sample_component(i, j, rng), den)
+                for i in labels
+                for j in labels
+                if i != j
+            ]
+            for actor in actors:
+                j = actor.j if isinstance(actor, RootActor) else rng.choice(
+                    [t for t in labels if t != actor.i]
+                )
+                i = actor.i
+                for _ in range(2):
+                    w = random_word(ctx, rng, 2) * Word(ctx, (Letter(j, i, fam.sample_component(j, i, rng)),))
+                    presented = presented_source(tower, actor, w)
+                    out = tower_ad(tower, actor, presented)
+                    outs = [out, Word(out.context, out.letters[:-1])]
+                    outs.append(random_word(out.context, rng, 3))
+                    for src in (w, presented):
+                        for o in outs:
+                            got = loc.intertwines(actor, o, src)
+                            want = loc.image(o) == loc.conj(actor, loc.image(src))
+                            assert got == want, (actor, o, src)
+                            verdicts.add((type(actor), got))
+    assert verdicts == {(DiagActor, True), (DiagActor, False), (RootActor, True), (RootActor, False)}
+
+
+def _ones(fam, i, j):
+    """The block values of R_ij that are all one."""
+    return (fam.algebra.base.one,) * len(fam.cells(i, j))
+
+
+@pytest.mark.parametrize("name", sorted(INTERTWINE_CASES))
+def test_equivariance_flags_a_dropped_root_cross_letter(name, monkeypatch):
+    """Mutant: tower_ad drops the letter x_il(va) (x_lj(-av)) a root actor
+    x_ij(v) adds to a source letter x_jl(a) (x_li(a)).  With v and a all
+    ones on labels 1 and 2, singletons in every case, the dropped letter's
+    localized image is nonzero, so ad_equivariance_check flags the mutant
+    at every source level, at den 0 and 1, for every third label l; the
+    same words hold unmutated."""
+    tower = _intertwine_tower(name)
+    fam = tower.family
+    original = tower_module.tower_ad
+
+    def dropped(tower, actor, w):
+        out = original(tower, actor, w)
+        return Word(out.context, out.letters[1:])
+
+    i, j = 1, 2
+    checked = 0
+    for level in range(tower.k_max + 1):
+        ctx = tower.context(level)
+        for den in range(min(level, 1) + 1):
+            actor = RootActor(tower, i, j, _ones(fam, i, j), den)
+            for l in fam.labels():
+                if l in (i, j):
+                    continue
+                for w in (gen(ctx, j, l, _ones(fam, j, l)), gen(ctx, l, i, _ones(fam, l, i))):
+                    assert len(tower_ad(tower, actor, w)) == 2
+                    assert ad_equivariance_check(tower, actor, w)[0]
+                    with monkeypatch.context() as mp:
+                        mp.setattr(tower_module, "tower_ad", dropped)
+                        assert not ad_equivariance_check(tower, actor, w)[0], (level, den, w)
+                    checked += 1
+    assert checked == 2 * (fam.n - 2) * (2 * tower.k_max + 1)
+
+
+@pytest.mark.parametrize("name", sorted(INTERTWINE_CASES))
+def test_equivariance_flags_unscaled_letters_off_the_diagonal_block(name, monkeypatch):
+    """Mutant: the diagonal branch of tower_ad leaves the letters off block
+    i unscaled, instead of scaling them by s^den.  psi(s) != 1 in every
+    case, so ad_equivariance_check flags it on x_jl(1) at every source
+    level 1..k_max with den 1, for every j, l off i; the same words hold
+    unmutated."""
+    tower = _intertwine_tower(name)
+    fam = tower.family
+    original = tower_module.tower_ad
+
+    def unscaled(tower, actor, w):
+        out = original(tower, actor, w)
+        kept = [
+            src if actor.i not in (L.i, L.j) else L for L, src in zip(out.letters, w.letters)
+        ]
+        return Word(out.context, tuple(kept))
+
+    checked = 0
+    for i in fam.labels():
+        actor = DiagActor(tower, i, fam.project(fam.algebra.one, i, i), 1)
+        for level in range(1, tower.k_max + 1):
+            ctx = tower.context(level)
+            for j in fam.labels():
+                for l in fam.labels():
+                    if i in (j, l) or j == l:
+                        continue
+                    w = gen(ctx, j, l, _ones(fam, j, l))
+                    assert ad_equivariance_check(tower, actor, w)[0]
+                    with monkeypatch.context() as mp:
+                        mp.setattr(tower_module, "tower_ad", unscaled)
+                        assert not ad_equivariance_check(tower, actor, w)[0], (i, level, w)
+                    checked += 1
+    assert checked == fam.n * tower.k_max * (fam.n - 1) * (fam.n - 2)
 
 
 def test_actor_validation():

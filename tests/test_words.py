@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -751,3 +752,90 @@ def test_grid_builds_each_letter_once_per_tuple(monkeypatch):
         assert calls == want
         assert grid["checked"] == pairs
         assert len(calls) < 2 * pairs
+
+
+def _sample_relations_per_instance(ctx, rng, kinds, samples, fault=None):
+    """The sampler's per-instance path, as the oracle for sample_relations:
+    the same draws, each instance's relator built by _instance_relator,
+    which re-checks its side conditions and validates both payloads, and
+    decided by _folds_to_unit."""
+    fam = ctx.family
+    unit = words_module._unit_columns(ctx)
+    out = {}
+    for kind in kinds:
+        bad = 0
+        for _ in range(samples):
+            i, j, k, l = random_relation_indices(fam, rng, kind)
+            a = fam.sample_component(i, j, rng)
+            b = fam.sample_component(*words_module._second_component(kind, i, j, k, l), rng)
+            letters = words_module._instance_relator(ctx, kind, i, j, k, l, a, b, fault)
+            bad += not words_module._folds_to_unit(ctx, letters, unit=unit)
+        out[kind] = {"checked": samples, "violations": bad}
+    return out
+
+
+SAMPLER_FAMILIES = {
+    # base ring, n, blocks (None for matrix units), homotope scale
+    "M4-Z12-units": (Zmod(12), 4, None, 2),
+    "M4-GF4-[[0,1],[2],[3]]": (GF(2, [1, 1, 1]), 4, [[0, 1], [2], [3]], [0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLER_FAMILIES))
+def test_sample_relations_draws_as_the_per_instance_path(name):
+    """sample_relations, which builds each relator from its draws without
+    validating them, returns the per-instance path's counts and leaves the
+    rng in the same state, for St1, St2 and St3 under every fault, plain
+    and homotope; both faults are flagged in the homotope context."""
+    base, n, blocks, scale = SAMPLER_FAMILIES[name]
+    A = MatrixAlgebra(base, n)
+    fam = IdempotentFamily.matrix_units(A) if blocks is None else IdempotentFamily(A, blocks)
+    kinds = ("St1", "St2", "St3")
+    flagged = set()
+    for ctx in (Context(fam), Context(fam, scale=base.element(scale), level=1)):
+        for fault in (None, "st3-zero", "drop-scale"):
+            rng, oracle_rng = random.Random(name), random.Random(name)
+            got = sample_relations(ctx, rng, kinds, 80, fault)
+            assert got == _sample_relations_per_instance(ctx, oracle_rng, kinds, 80, fault)
+            assert rng.getstate() == oracle_rng.getstate()
+            if got["St3"]["violations"]:
+                flagged.add((ctx.scale is None, fault))
+    assert {(False, "st3-zero"), (False, "drop-scale")} <= flagged
+    assert all(fault is not None for _, fault in flagged)
+
+
+class _ScriptedDraws:
+    """An rng whose sample() returns the scripted label tuples in order and
+    raises IndexError once the script is used up."""
+
+    def __init__(self, script):
+        self.script = list(script)
+
+    def sample(self, population, k):
+        got = self.script.pop(0)
+        assert len(got) == k and set(got) <= set(population)
+        return list(got)
+
+
+def test_random_relation_indices_meet_the_side_conditions():
+    """Every tuple random_relation_indices can return, over every script of
+    label draws, passes _check_side_conditions, which sample_relations no
+    longer runs per instance, and together they are relation_index_tuples.
+    An St2 script whose draws are rejected runs out on the redraw."""
+    for blocks in ([[0], [1], [2], [3]], [[0], [1], [2, 4], [3], [5]]):
+        fam = IdempotentFamily(MatrixAlgebra(Zmod(2), sum(map(len, blocks))), blocks)
+        labels = list(fam.labels())
+        for kind, draws in (("St1", (2,)), ("St2", (2, 2)), ("St3", (3,))):
+            returned = set()
+            rejected = 0
+            scripts = itertools.product(*(itertools.permutations(labels, k) for k in draws))
+            for script in scripts:
+                try:
+                    t = random_relation_indices(fam, _ScriptedDraws(script), kind)
+                except IndexError:
+                    rejected += 1
+                    continue
+                words_module._check_side_conditions(kind, *t)
+                returned.add(t)
+            assert returned == set(relation_index_tuples(fam, kind))
+            assert rejected > 0 if kind == "St2" else rejected == 0

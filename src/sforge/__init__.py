@@ -54,6 +54,7 @@ from .tower import (
     HomotopeTower,
     LevelBudgetExceeded,
     NoArrow,
+    PowerSequenceTooLong,
     RootActor,
     actor_relation_suite,
     ad_equivariance_check,

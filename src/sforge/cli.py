@@ -26,6 +26,7 @@ from .peirce import BadFamily, family_from_json
 from .rings import MatrixAlgebra, SforgeError, is_json_int, ring_from_json
 from .tower import (
     HomotopeTower,
+    PowerSequenceTooLong,
     actor_relation_suite,
     scaled_operator_suite,
     split_naturality_suite,
@@ -358,8 +359,9 @@ def main(argv=None):
         started = time.perf_counter()
         suites, violations, warnings = _HANDLERS[args.command](cfg, args)
         elapsed = time.perf_counter() - started
-    except (ConfigError, RankTooSmall) as exc:
-        # too few blocks for the command is a property of the config
+    except (ConfigError, RankTooSmall, PowerSequenceTooLong) as exc:
+        # too few blocks for the command, or a scale whose power sequence
+        # is too long to tabulate, is a property of the config
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except SforgeError as exc:

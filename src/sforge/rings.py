@@ -21,6 +21,14 @@ column has one, else, over Z/m, a unimodular 2x2 row step built from the
 extended gcd of two entries (one loop covers prime powers and mixed
 moduli, with no CRT split).  The determinant is the signed product of
 the diagonal it leaves, and the inverse one back-substitution on [a | 1].
+
+Words are evaluated on column buffers (MatrixAlgebra.columns, matrix and
+fold_columns).  Over Z/m a column is one int, its n entries in limbs of
+w bits, w derived from m when the algebra is built; a column update is
+one big-int multiply-add, and reduction is deferred to one limb-wise
+Barrett step (Barrett, CRYPTO 1986; Granlund and Montgomery, PLDI 1994)
+per replaced column, under a proven bound on entry growth.  Over GF a
+column is a list.
 """
 
 from __future__ import annotations
@@ -470,6 +478,82 @@ class MatrixAlgebra:
         )
         self.size = base.size ** (n * n)
         self._mod = base.m if isinstance(base, Zmod) else None
+        if self._mod is not None:
+            self._pack_layout(self._mod, n)
+
+    def _pack_layout(self, m, n):
+        """The constants of the packed Z/m column buffer and its reduction.
+
+        A column is one int whose w-bit limb r holds row r.  fold_columns
+        keeps every entry below 2^A, A = max(31, bitlen(m) +
+        bitlen(Lmax (m - 1))), and reduces a column X limb-wise by the
+        Barrett step X - m * (((X * mu) >> s) & Q), with s = A + bitlen(m),
+        mu = ceil(2^s / m), w = 2A + 2 and Q the low w - s bits of every
+        limb.  For a limb d <= 2^A + 1: mu <= 2^(A + 1), so d * mu < 2^w
+        stays in its limb and no product carries into the next; the shift
+        brings floor(d * mu / 2^s) < 2^(w - s) to the bottom of the limb,
+        the next limb's product lands above it, and the mask keeps exactly
+        it.  It is floor(d / m): with mu m = 2^s + e, 0 <= e < m, the
+        excess d e / (m 2^s) is below 1/m, since d e < 2^A m < 2^s (as
+        m - 1 < 2^A).  So each limb becomes d mod m, and the subtraction
+        never borrows.
+
+        The growth bound.  A letter x_ij(a), i != j, writes only block-j
+        columns, each from block-i columns it does not write, so a written
+        entry is at most E + |block i| (m - 1) E, plus m - 1 in the
+        homotope step, for E the largest entry before the letter.  With
+        g = 1 + L (m - 1), L = len(a) >= |block i|, that is at most
+        E g + m - 1 <= (E + 1) g - 1, as g >= m: E + 1 grows by at most g,
+        and E + 1 <= m * prod g over the letters since the last reduction,
+        at which every entry was canonical.  _letter_cost[L] is ceil(16
+        log2 g) and _budget is 16 A - ceil(16 log2 m), in sixteenths of a
+        bit, so letters whose costs sum to at most _budget keep every
+        entry below 2^A.  Lmax = floor(n^2 / 4) is the most values a
+        letter has, and ceil(16 log2 g) <= 16 bitlen(Lmax (m - 1)), so
+        the largest letter fits in one budget; _free of the largest
+        letters fit.  Over Z/1 a letter costs nothing.
+        """
+        lmax = n * n // 4
+        A = max(31, m.bit_length() + (lmax * (m - 1)).bit_length())
+        s = A + m.bit_length()
+        w = 2 * A + 2
+        shifts = tuple(range(0, w * n, w))
+        self._shifts = shifts
+        self._limb_mask = (1 << w) - 1
+        self._packed = (-(-(1 << s) // m), s, sum((1 << (w - s)) - 1 << sh for sh in shifts), shifts)
+        self._letter_cost = [((1 + L * (m - 1)) ** 16 - 1).bit_length() for L in range(lmax + 1)]
+        self._budget = 16 * A - (m ** 16 - 1).bit_length()
+        self._free = self._budget // max(self._letter_cost[lmax], 1)
+
+    def columns(self, a):
+        """The column buffer of the matrix a: a list of its n columns, each
+        one int over Z/m (row r in limb r) and a list otherwise."""
+        if self._mod is None:
+            return [list(c) for c in zip(*a)]
+        shifts = self._shifts
+        return [sum(map(operator.lshift, c, shifts)) for c in zip(*a)]
+
+    def matrix(self, cols):
+        """The matrix, as a tuple of row tuples, of a buffer of canonical
+        columns."""
+        if self._mod is None:
+            return tuple(zip(*cols))
+        mask = self._limb_mask
+        return tuple(tuple([X >> sh & mask for X in cols]) for sh in self._shifts)
+
+    def pack_column(self, values):
+        """The buffer column of one column's n entries, top to bottom
+        (_times_corner writes columns one at a time)."""
+        if self._mod is None:
+            return list(values)
+        return sum(map(operator.lshift, values, self._shifts))
+
+    def unpack_column(self, col):
+        """The n entries, top to bottom, of one canonical buffer column."""
+        if self._mod is None:
+            return col
+        mask = self._limb_mask
+        return [col >> sh & mask for sh in self._shifts]
 
     def element(self, rows):
         base = self.base
@@ -542,36 +626,58 @@ class MatrixAlgebra:
         return tuple(out)
 
     def fold_columns(self, cols, cells, letters, scale=None):
-        """Right-multiply a list of columns by the st image of letters, in
-        place, and return the list.
+        """Right-multiply a column buffer by the st image of letters, in
+        place, and return it.
 
-        A letter (i, j, a) is x_ij(a), its block values a on cells[i][j]
-        (IdempotentFamily.cell_table).  Each nonzero value v at (k, c) does
-        column c += column k * v, the product by 1 + a; no k is also a c.
-        With a scale s a letter is the homotope step s*acc*a + acc + a:
-        column c += column k * (s v), then v is added at (k, c).  The branch
-        and the base ring's operations are found once per call.  Each update
-        stores a new column list; no column is changed in place.  So the
-        columns may start as tuples, and a shallow copy of a buffer can be
-        folded while the buffer, and every copy sharing its column lists,
-        stays as it was: the exhaustive relation grid shares the columns of
-        st(x) that way.
+        cols is a buffer of canonical columns (columns(), pack_column());
+        over Z/m a column that is not an int raises TypeError before any
+        update.  A letter (i, j, a) is x_ij(a), its block values a, ring
+        elements and so canonical, on cells[i][j]
+        (IdempotentFamily.cell_table), i != j.  Each nonzero
+        value v at (k, c) does column c += column k * v, the product by
+        1 + a; no k is also a c.  With a scale s a letter is the homotope
+        step s*acc*a + acc + a: column c += column k * (s v), then v is
+        added at (k, c).  The branch and the base ring's operations are
+        found once per call.
+
+        Over Z/m a column is one int, row r in limb r (_pack_layout), and
+        each update one big-int multiply-add on every row at once; the
+        homotope step adds v << w k.  Reduction is deferred: the word is
+        folded in runs that keep every entry below 2^A (the whole word
+        when it has at most _free letters, else _runs), and at the end of
+        each run every column the run replaced, one that is not the
+        object it started the run as, is reduced by one Barrett step.  So
+        every column is canonical on exit, and buffers compare with ==.
+        Elsewhere a column is a list, and each update stores a new one.
+
+        No column is changed in place, so a shallow copy of a buffer can be
+        folded while the buffer, and every copy sharing its columns, stays
+        as it was: the exhaustive relation grid shares the columns of st(x)
+        that way.  A column no letter touched keeps its object.
         """
         m = self._mod
         if m is not None:
-            if scale is None:
-                for i, j, a in letters:
-                    for (k, c), v in zip(cells[i][j], a):
-                        if v:
-                            cols[c] = [(y + x * v) % m for x, y in zip(cols[k], cols[c])]
-                return cols
-            for i, j, a in letters:
-                for (k, c), v in zip(cells[i][j], a):
-                    if v:
-                        sv = scale * v % m
-                        col = [(y + x * sv) % m for x, y in zip(cols[k], cols[c])]
-                        col[k] = (col[k] + v) % m
-                        cols[c] = col
+            for X in cols:
+                if type(X) is not int:
+                    raise TypeError("a Z/%d buffer column is an int, got %r" % (m, type(X)))
+            mu, s, Q, shifts = self._packed
+            for run in (letters,) if len(letters) <= self._free else self._runs(letters):
+                start = cols[:]
+                if scale is None:
+                    for i, j, a in run:
+                        for (k, c), v in zip(cells[i][j], a):
+                            if v:
+                                cols[c] += cols[k] * v
+                else:
+                    for i, j, a in run:
+                        for (k, c), v in zip(cells[i][j], a):
+                            if v:
+                                cols[c] += cols[k] * (scale * v % m) + (v << shifts[k])
+                p = 0
+                for X in cols:
+                    if X is not start[p]:
+                        cols[p] = X - m * ((X * mu >> s) & Q)
+                    p += 1
             return cols
         base = self.base
         zero = base.zero
@@ -589,6 +695,20 @@ class MatrixAlgebra:
                     col[k] = add(col[k], v)
                 cols[c] = col
         return cols
+
+    def _runs(self, letters):
+        """The letters cut into runs whose _letter_cost sums to at most
+        _budget each (_pack_layout), where every letter fits."""
+        cost, full = self._letter_cost, self._budget
+        runs = []
+        first, budget = 0, full
+        for t, (_, _, a) in enumerate(letters):
+            budget -= cost[len(a)]
+            if budget < 0:
+                runs.append(letters[first:t])
+                first, budget = t, full - cost[len(a)]
+        runs.append(letters[first:])
+        return runs
 
     def add_row_multiples(self, rows, cells, values):
         """Left-multiply by a letter's 1 + a, on a list of row lists, in place.

@@ -25,10 +25,11 @@ for a diagonal actor also those of its inverse.  They multiply the block
 values of the letters it acts on.  On the GL side the equivariance
 st(Ad_g w) = g st(w) g^-1 is decided as image(out) g = g image(src),
 which is equivalent because g is invertible (LocalizedTower.intertwines):
-both sides are folds of the identity's columns, with the root actor's
-g = 1 + v as one more letter and a diagonal actor's g = 1 - e_i + u as a
-block product on the block-i columns, so no row is built, nothing is
-transposed, and no n x n matrix is inverted or multiplied.
+both sides are folds of the identity's column buffer, compared with ==
+(one packed int per column over Z/m), with the root actor's g = 1 + v
+as one more letter and a diagonal actor's g = 1 - e_i + u as a block
+product on the block-i columns, so no row is built, no matrix is read
+off either side, and no n x n matrix is inverted or multiplied.
 """
 
 from __future__ import annotations
@@ -51,6 +52,17 @@ from .words import (
 )
 
 
+# HomotopeTower walks the power sequence of s and keeps all of it; a scale
+# whose powers do not repeat within this many terms (3 over Z/(2^61 - 1)
+# has order 2^61 - 2) is refused on construction rather than walked for
+# ever
+POWER_SEQUENCE_MAX = 2 ** 16
+
+
+class PowerSequenceTooLong(SforgeError):
+    """The powers of the tower's scale do not repeat within POWER_SEQUENCE_MAX terms."""
+
+
 class NoArrow(SforgeError):
     """Structure maps only go from higher levels to lower ones."""
 
@@ -65,7 +77,9 @@ class HomotopeTower:
 
     The index monoid is the powers of s; since the scalar ring is finite
     the power sequence is eventually periodic, so arbitrary level values
-    are exact.
+    are exact.  The sequence is tabulated on construction, and a scale
+    whose powers do not repeat within POWER_SEQUENCE_MAX terms raises
+    PowerSequenceTooLong.
     """
 
     def __init__(self, family, s, k_max=6):
@@ -79,6 +93,7 @@ class HomotopeTower:
         self._powers = None
         self._preperiod = None
         self._localized = None
+        self._power_table()
 
     def _power_table(self):
         if self._powers is None:
@@ -89,6 +104,12 @@ class HomotopeTower:
                 if v in seen:
                     self._preperiod = seen[v]
                     break
+                if len(pows) == POWER_SEQUENCE_MAX:
+                    raise PowerSequenceTooLong(
+                        "the powers of the scale s = %s over %r do not repeat within "
+                        "%d terms, the bound on a tower's power sequence"
+                        % (self.scalar.element_to_json(self.s), self.scalar, POWER_SEQUENCE_MAX)
+                    )
                 seen[v] = len(pows)
                 pows.append(v)
             self._powers = pows
@@ -208,7 +229,13 @@ class LocalizedTower:
     MatrixAlgebra.fold_columns, with no homotope fold and no pass over the
     n x n entries of q.  intertwines(actor, out, src) decides
     image(out) g = g image(src) for the actor's localized image g with two
-    folds of the identity's columns, and no image is built.
+    folds of the identity's column buffer (MatrixAlgebra.columns), and no
+    image is built.  Each buffer is that of the algebra over the
+    localized ring: one packed int per column when it is Z/d, so both
+    sides compare as ints; _times_corner reads and writes the block-i
+    columns one at a time (MatrixAlgebra.unpack_column, pack_column).
+    conj, the test oracle of intertwines, goes through columns() and
+    matrix().
     """
 
     def __init__(self, tower):
@@ -220,11 +247,11 @@ class LocalizedTower:
         self.family = IdempotentFamily(self.algebra, tower.family.blocks)
         self.s_unit = loc.psi(tower.s)
         self._s_inv = loc.ring.inv(self.s_unit)
-        # the identity's columns: every fold starts from a shallow copy,
-        # since MatrixAlgebra.fold_columns never changes a column in place;
-        # they are lists, as every column a fold or _times_corner writes
-        # is, so two column lists compare by value
-        self._unit = [list(c) for c in self.algebra.one]
+        # the identity's column buffer: every fold starts from a shallow
+        # copy, since MatrixAlgebra.fold_columns never changes a column in
+        # place; every column a fold or _times_corner writes is canonical,
+        # so two buffers compare by value
+        self._unit = self.algebra.columns(self.algebra.one)
 
     def s_pow_inv(self, e):
         v = self.scalar_loc.ring.one
@@ -252,18 +279,21 @@ class LocalizedTower:
 
         Since 1 + s^k (s^k x y + x + y) = (1 + s^k x)(1 + s^k y), this is
         the plain st image, over the localized ring, of the letters
-        psi(s^k a): one fold of the identity's columns, transposed.  The
-        cells are positions, so the word's own family gives them.
+        psi(s^k a): one fold of the identity's column buffer, read off as
+        a matrix.  The cells are positions, so the word's own family gives
+        them.
         """
+        alg = self.algebra
         table = w.context.family.cell_table
-        return tuple(zip(*self.algebra.fold_columns(self._unit[:], table, self._letters(w))))
+        return alg.matrix(alg.fold_columns(self._unit[:], table, self._letters(w)))
 
     def intertwines(self, actor, out, src):
         """Is image(out) g == g image(src), for g the actor's localized image?
 
         g is invertible, so this is image(out) == g image(src) g^-1: st is
         equivariant for an action that sends src to out.  Both sides are
-        column lists folded from the identity's; the actor and both words
+        column buffers folded from the identity's, compared with == (one
+        int per column over Z/m); the actor and both words
         are over the tower's blocks.  A root actor's g = 1 + v, with
         v = psi(num)/s^den in R_ij, is the st image of the one letter
         x_ij(v), so the sides fold out's letters then x_ij(v), and x_ij(v)
@@ -286,20 +316,21 @@ class LocalizedTower:
         return lhs == alg.fold_columns(g, table, self._letters(src))
 
     def _times_corner(self, cols, i, u):
-        """The columns cols times 1 - e_i + u, for the block values u of
-        R_ii, in place: each block-i column becomes the block-i columns
+        """The column buffer cols times 1 - e_i + u, for the block values u
+        of R_ii, in place: each block-i column becomes the block-i columns
         times u's column, one IdempotentFamily.block_mul of their n x |i|
         values; the other columns stay.  Columns are replaced, none is
-        changed."""
+        changed, and each one written is canonical."""
         fam = self.family
+        alg = self.algebra
         blk = fam.support(i)
         k = len(blk)
         every = tuple(fam.labels())
         # the values of cols on cells(every, i), row by row
-        m = [cols[c][r] for r in range(self.algebra.n) for c in blk]
+        m = [x for row in zip(*[alg.unpack_column(cols[c]) for c in blk]) for x in row]
         prod = fam.block_mul(m, every, i, u, i)
         for t, c in enumerate(blk):
-            cols[c] = list(prod[t::k])
+            cols[c] = alg.pack_column(prod[t::k])
         return cols
 
     def conj(self, actor, x):
@@ -333,9 +364,9 @@ class LocalizedTower:
             j = actor.j
             rows = list(x)
             alg.add_row_multiples(rows, fam.cells(i, j), a)
-            cols = list(zip(*rows))
+            cols = alg.columns(rows)
             alg.fold_columns(cols, fam.cell_table, ((i, j, tuple(map(base.neg, a))),))
-            return tuple(zip(*cols))
+            return alg.matrix(cols)
         every = tuple(fam.labels())
         b = tuple(map(psi, actor.inv_block))
         x = fam.write(x, fam.block_mul(a, i, i, fam.project(x, i, every), every), i, every)

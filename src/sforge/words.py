@@ -8,15 +8,16 @@ and multiplied on those values; matrices appear only as st images and
 on the wire.  A DiagonalElement is likewise the block values of its
 corner units, with their inverses computed once, on construction.
 One kernel, MatrixAlgebra.fold_columns in sforge.rings, folds a whole
-word's letters onto a list of columns, reading each letter's cells from
-the family's cell_table; it is the one column update for the plain
-product and the homotope fold.  st_eval folds onto the identity's
-columns and transposes.
+word's letters onto a column buffer (over Z/m one packed int per
+column), reading each letter's cells from the family's cell_table; it
+is the one column update for the plain product and the homotope fold.
+st_eval folds onto the identity's buffer and reads the matrix off it.
 A relation instance lhs = rhs is decided as one word, its relator
 lhs * rhs^-1 (_relator, the one construction of relation words, from
 valid letters paired with their negations): the instance holds
 exactly when st sends the relator to the identity, which is tested on
-one column buffer without transposing.  Word equality is decided the
+one column buffer, compared with the identity's by ==, with no matrix
+read off it.  Word equality is decided the
 same way, on w1 * w2^-1.  Every relator begins with its first payload's
 letter x, so the exhaustive grid folds the columns of st(x) once and
 shares them, copied shallowly, across every second payload; it also
@@ -184,11 +185,10 @@ def word(ctx, items):
 
 
 def _unit_columns(ctx):
-    """The columns of st of the empty word, as lists: the identity, or zero
-    in a homotope context.  one and zero are symmetric, so their rows are
-    also their columns."""
+    """The column buffer of st of the empty word (MatrixAlgebra.columns):
+    the identity, or zero in a homotope context."""
     alg = ctx.algebra
-    return [list(c) for c in (alg.one if ctx.scale is None else alg.zero)]
+    return alg.columns(alg.one if ctx.scale is None else alg.zero)
 
 
 def st_eval(w):
@@ -204,14 +204,16 @@ def st_eval(w):
     m[:, c] += sum over k in block i of m[:, k] a[k][c]; the homotope step
     s*acc*a + acc + a is the same update scaled by s, plus a on its cells.
     MatrixAlgebra.fold_columns applies that column update for every letter
-    to the identity's columns, and st_eval transposes the result: a letter
-    costs O(n |block i| |block j|) ring operations, not the O(n^3) of a
-    matrix product.
+    to the identity's column buffer, and st_eval reads the matrix off it
+    (MatrixAlgebra.matrix): a letter costs O(n |block i| |block j|) ring
+    operations, not the O(n^3) of a matrix product; over Z/m each of its
+    |block i| |block j| column updates is one big-int multiply-add on a
+    packed column.
     """
     ctx = w.context
     fam = ctx.family
-    cols = fam.algebra.fold_columns(_unit_columns(ctx), fam.cell_table, w.letters, ctx.scale)
-    return tuple(zip(*cols))
+    alg = fam.algebra
+    return alg.matrix(alg.fold_columns(_unit_columns(ctx), fam.cell_table, w.letters, ctx.scale))
 
 
 def _folds_to_unit(ctx, letters, cols=None, unit=None):
@@ -219,10 +221,11 @@ def _folds_to_unit(ctx, letters, cols=None, unit=None):
 
     cols defaults to the identity's columns (zero in a homotope context)
     and unit, the columns compared with, to _unit_columns(ctx); callers
-    that test many words pass unit once.  Nothing is transposed.  The copy
-    is shallow: MatrixAlgebra.fold_columns replaces a column and never
-    changes one, so cols is left as it was, and every column no letter
-    touched is still unit's own list and compares by identity.
+    that test many words pass unit once.  No matrix is read off the
+    buffer: its canonical columns compare with ==, each one int over Z/m.
+    The copy is shallow: MatrixAlgebra.fold_columns replaces a column and
+    never changes one, so cols is left as it was, and every column no
+    letter touched is still unit's own object.
     """
     if unit is None:
         unit = _unit_columns(ctx)

@@ -9,6 +9,7 @@ import pytest
 
 import sforge
 from sforge.cli import EXHAUSTIVE_GAUSS_MAX, main
+from sforge.tower import POWER_SEQUENCE_MAX
 
 M3Z4 = {"kind": "Mat", "size": 3, "base": {"kind": "Zmod", "m": 4}}
 M3Z12 = {"kind": "Mat", "size": 3, "base": {"kind": "Zmod", "m": 12}}
@@ -306,6 +307,23 @@ def test_gauss_exhaustive_past_its_bound_exits_two_at_once(tmp_path):
     assert "config error" in err and str(EXHAUSTIVE_GAUSS_MAX) in err
 
 
+@pytest.mark.parametrize("command", ["relations", "tower"])
+def test_scale_past_the_power_sequence_bound_exits_two_at_once(tmp_path, capsys, command):
+    """3 has order 2^61 - 2 in Z/(2^61 - 1): the tower's power sequence
+    is refused on construction, before any work, with a message naming
+    s, the ring and the bound, an empty stdout and no traceback."""
+    ring = {"kind": "Mat", "size": 2, "base": {"kind": "Zmod", "m": 2 ** 61 - 1}}
+    cfg = write_config(tmp_path, "wide.json", {"ring": ring, "system": "homotope", "scale": 3})
+    started = time.perf_counter()
+    code, out, err = run_main(capsys, [command, "--config", cfg])
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "config error" in err and str(POWER_SEQUENCE_MAX) in err
+    assert "s = 3" in err and str(2 ** 61 - 1) in err
+
+
 @pytest.mark.parametrize(
     "command, size, want",
     [("tower", 2, 0), ("tower", 1, 2), ("crossed-module", 1, 2), ("relations", 1, 2)],
@@ -585,3 +603,24 @@ TOWER_GOLDEN = {
 def test_tower_reports_match_their_golden_sha256(tmp_path, capsys, name):
     config, want = TOWER_GOLDEN[name]
     assert_golden(tmp_path, capsys, ["tower"], config, want)
+
+
+# Report sha256s of crossed-module runs on M(n, Z/12) for n = 8 and 16:
+# their Ad_g words run to about 115 and 463 letters, so each fold crosses
+# many of the packed Z/m kernel's reductions, which no pinned benchmark
+# workload's folds do.
+LONG_WORD_GOLDEN = {
+    8: "3f469716af310ad3eb9f3ad551b20c034631d33d3e9dc4b38ea23d188f6c238c",
+    16: "d0fe701430543df800bb7093d807d68397ff82eb8a4710fb1306512ed5c5297e",
+}
+
+
+@pytest.mark.parametrize("n", sorted(LONG_WORD_GOLDEN))
+def test_long_word_reports_match_their_golden_sha256(tmp_path, capsys, n):
+    config = {
+        "ring": {"kind": "Mat", "size": n, "base": {"kind": "Zmod", "m": 12}},
+        "family": "units",
+        "samples": 10,
+        "seed": 0,
+    }
+    assert_golden(tmp_path, capsys, ["crossed-module"], config, LONG_WORD_GOLDEN[n])

@@ -24,6 +24,7 @@ from sforge import (
     Word,
     Zmod,
     diag_act,
+    random_element,
     random_word,
     st_eval,
     u_normal_form,
@@ -273,8 +274,8 @@ def test_column_kernel_matches_dense_reference(name):
     letter: every one- and two-letter word, and random words of three and
     four letters with zero payloads mixed in, each folded in one call,
     plain and at three homotope scales, from the identity, from zero and
-    from random start matrices.  Z/m rings take the kernel's Z/m branch,
-    GF(4) its generic one."""
+    from random start matrices, read back through matrix().  Z/m rings
+    take the kernel's packed branch, GF(4) its list one."""
     fam = GRIDS[name]
     alg = fam.algebra
     assert (alg._mod is None) == isinstance(alg.base, GF)
@@ -290,51 +291,242 @@ def test_column_kernel_matches_dense_reference(name):
     for s in scales:
         for m in starts:
             for w in words:
-                cols = list(zip(*m))
+                cols = alg.columns(m)
                 assert alg.fold_columns(cols, fam.cell_table, w, s) is cols
                 want = m
                 for L in w:
                     want = dense_step(fam, want, L, s)
-                assert tuple(zip(*cols)) == want
+                assert alg.matrix(cols) == want
     # zero letters leave every column as it was: zero values are skipped
     zeros = tuple(L for L in letters if fam.is_zero(L.a))
+    unit = alg.columns(alg.one)
     for w in [zeros[:1], zeros]:
-        cols = list(alg.one)
+        cols = unit[:]
         alg.fold_columns(cols, fam.cell_table, w, scales[-1])
-        assert all(col is row for col, row in zip(cols, alg.one))
+        assert all(col is row for col, row in zip(cols, unit))
+
+
+def list_fold(alg, cols, cells, letters, scale=None):
+    """The list-column Z/m kernel, the oracle of the packed one: every
+    column a list of canonical entries, each update one new list of n
+    multiply-add-mods, plus v at (k, c) in the homotope step."""
+    m = alg.base.m
+    for i, j, a in letters:
+        for (k, c), v in zip(cells[i][j], a):
+            if v:
+                sv = v if scale is None else scale * v % m
+                col = [(y + x * sv) % m for x, y in zip(cols[k], cols[c])]
+                if scale is not None:
+                    col[k] = (col[k] + v) % m
+                cols[c] = col
+    return cols
+
+
+WIDE = 2 ** 61 - 1
+PACKED_GRIDS = {
+    "M3-Z4-units": GRIDS["M3-Z4-units"],
+    "M4-Z2-[[0,1],[2,3]]": GRIDS["M4-Z2-[[0,1],[2,3]]"],
+    "M3-Z1-units": IdempotentFamily.matrix_units(MatrixAlgebra(Zmod(1), 3)),
+    "M5-Z12-[[0],[1],[2,4],[3]]": IdempotentFamily(MatrixAlgebra(Zmod(12), 5), [[0], [1], [2, 4], [3]]),
+    "M3-Zwide-units": IdempotentFamily.matrix_units(MatrixAlgebra(Zmod(WIDE), 3)),
+    "M4-Zwide-[[0,1],[2,3]]": IdempotentFamily(MatrixAlgebra(Zmod(WIDE), 4), [[0, 1], [2, 3]]),
+}
+
+
+def packed_words(fam, rng):
+    """Words for the packed kernel: every word of one or two letters where
+    the components are small, else random letters; the letters whose
+    values are all m - 1, which grow the entries fastest, alone and in
+    words long enough to cross several reductions; and random words of
+    three to twenty letters."""
+    alg = fam.algebra
+    m = alg.base.m
+    pairs = [(i, j) for i in fam.labels() for j in fam.labels() if i != j]
+    if all(fam.component_size(i, j) <= 16 for i, j in pairs):
+        letters = all_letters(fam)
+        words = [(L,) for L in letters] + list(itertools.product(letters, repeat=2))
+    else:
+        letters = [Letter(i, j, fam.sample_component(i, j, rng)) for i, j in pairs for _ in range(4)]
+        words = [(L,) for L in letters] + [tuple(rng.choices(letters, k=2)) for _ in range(60)]
+    extreme = [Letter(i, j, (m - 1,) * len(fam.cells(i, j))) for i, j in pairs]
+    words += [(L,) for L in extreme]
+    longest = 3 * alg._free + 2
+    words += [tuple(rng.choices(extreme, k=longest)) for _ in range(8)]
+    words += [tuple(rng.choices(letters + extreme, k=rng.randrange(3, 21))) for _ in range(60)]
+    return words
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["schedule", "reduce-every-letter"])
+@pytest.mark.parametrize("name", sorted(PACKED_GRIDS))
+def test_packed_kernel_matches_list_oracle(name, forced, monkeypatch):
+    """The packed Z/m branch of fold_columns against the list kernel:
+    equal matrices through matrix(), and canonical columns (repacking the
+    matrix gives the same ints), plain and at every homotope scale, from
+    the identity, zero and random starts, over Z/1, Z/2, Z/4, Z/12 and
+    Z/(2^61 - 1).  With forced, the budget is zero, so the fold reduces
+    before every letter, mid-fold."""
+    fam = PACKED_GRIDS[name]
+    alg = fam.algebra
+    m = alg.base.m
+    if forced:
+        monkeypatch.setattr(alg, "_budget", 0)
+        monkeypatch.setattr(alg, "_free", 0)
+    rng = random.Random(name)
+    starts = [alg.one, alg.zero] + [random_element(alg, rng) for _ in range(2)]
+    scales = [None] + sorted({k % m for k in SCALES + (m - 1,)})
+    words = packed_words(fam, rng)
+    for s in scales:
+        for start in starts:
+            want_start = [list(c) for c in zip(*start)]
+            for w in words:
+                cols = alg.fold_columns(alg.columns(start), fam.cell_table, w, s)
+                want = tuple(zip(*list_fold(alg, want_start[:], fam.cell_table, w, s)))
+                assert alg.matrix(cols) == want
+                assert cols == alg.columns(want)
+
+
+@pytest.mark.parametrize("name", sorted(PACKED_GRIDS))
+def test_reduction_schedule_keeps_entries_below_the_bound(name):
+    """The growth bound behind the schedule (MatrixAlgebra._pack_layout):
+    each run of letters the kernel folds between reductions, the whole
+    word when it has at most _free letters and the runs of _runs
+    otherwise, keeps every entry below 2^A when folded in exact integer
+    arithmetic, unreduced, from the worst canonical start (every entry
+    m - 1), plain and at scale m - 1.  The words chain letters whose
+    values are all m - 1, with each letter reading the columns the one
+    before it wrote, where the bound is nearly tight."""
+    fam = PACKED_GRIDS[name]
+    alg = fam.algebra
+    m = alg.base.m
+    mu, s, Q, shifts = alg._packed
+    bound = 1 << (s - m.bit_length())
+    labels = list(fam.labels())
+    rng = random.Random(name)
+    words = []
+    for length in (1, alg._free, 4 * alg._free + 3):
+        for _ in range(6):
+            chain = [rng.choice(labels)]
+            while len(chain) <= length:
+                chain.append(rng.choice([t for t in labels if t != chain[-1]]))
+            words.append(tuple(Letter(i, j, (m - 1,) * len(fam.cells(i, j))) for i, j in zip(chain, chain[1:])))
+    for scale in (None, m - 1):
+        for w in words:
+            runs = (w,) if len(w) <= alg._free else alg._runs(w)
+            assert sum(map(len, runs)) == len(w)
+            for run in runs:
+                cols = [[m - 1] * alg.n for _ in range(alg.n)]
+                for i, j, a in run:
+                    for (k, c), v in zip(fam.cells(i, j), a):
+                        sv = v if scale is None else scale * v % m
+                        col = [y + x * sv for x, y in zip(cols[k], cols[c])]
+                        if scale is not None:
+                            col[k] += v
+                        cols[c] = col
+                assert max(map(max, cols)) < bound
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 12, 1000003, WIDE])
+def test_barrett_step_reduces_every_limb(m):
+    """X - m * (((X * mu) >> s) & Q) is X mod m in every limb at once, on
+    every limb value below 2^12, every one from 2^A - 2^12 to the bound
+    2^A and one past it on either side, each multiple of m near 2^A and
+    one off it, and random values below 2^A, four limbs to a column, so
+    that a carry between limbs would show."""
+    alg = MatrixAlgebra(Zmod(m), 4)
+    mu, s, Q, shifts = alg._packed
+    top = 1 << (s - m.bit_length())
+    rng = random.Random(m)
+    values = list(range(min(top, 1 << 12))) + list(range(top - (1 << 12), top + 2))
+    near = top // m * m
+    values += [q + d for q in range(near - 64 * m, near + m, m) for d in (-1, 0, 1) if 0 <= q + d <= top + 1]
+    values += [rng.randrange(top) for _ in range(4000)]
+    rng.shuffle(values)
+    values += [0] * (-len(values) % 4)
+    for t in range(0, len(values), 4):
+        limbs = values[t : t + 4]
+        X = sum(v << sh for v, sh in zip(limbs, shifts))
+        assert alg.matrix([X - m * ((X * mu >> s) & Q)]) == tuple((v % m,) for v in limbs)
+
+
+@pytest.mark.parametrize("m", [4, WIDE])
+def test_packed_kernel_refuses_list_columns(m):
+    """A list or tuple column in the Z/m branch raises TypeError before
+    any update, even for the empty word, so list * int never repeats a
+    list (over Z/(2^61 - 1) that would exhaust memory)."""
+    fam = IdempotentFamily.matrix_units(MatrixAlgebra(Zmod(m), 3))
+    alg = fam.algebra
+    w = (Letter(1, 2, (m - 1,)), Letter(2, 3, (m - 1,)))
+    mixed = alg.columns(alg.one)
+    mixed[1] = list(alg.one[1])
+    for cols in [[list(c) for c in alg.one], list(alg.one), mixed]:
+        before = list(cols)
+        for letters in [w, ()]:
+            with pytest.raises(TypeError):
+                alg.fold_columns(cols, fam.cell_table, letters, None)
+            with pytest.raises(TypeError):
+                alg.fold_columns(cols, fam.cell_table, letters, 2)
+            assert all(c is b for c, b in zip(cols, before))
 
 
 @pytest.mark.parametrize("name", KERNEL_GRIDS)
 def test_column_kernel_never_changes_a_column_in_place(name):
-    """fold_columns replaces each column it updates and changes no column
-    list in place, so folding letters onto a shallow copy of a buffer
-    leaves the buffer's own column lists as they were: the relation grid
-    shares the columns of st(x) across every second payload on that
-    guarantee.  Every nonzero letter, and random words of three and four
-    letters with zero payloads mixed in; Z/m rings take the kernel's Z/m
-    branch, GF(4) its generic one, plain and at three homotope scales."""
+    """fold_columns replaces each column it updates and changes none in
+    place, so folding letters onto a shallow copy of a buffer leaves the
+    buffer's own columns as they were, and every column no letter touches
+    keeps its object: the relation grid shares the columns of st(x)
+    across every second payload on that guarantee.  Every nonzero letter,
+    and random words of three and four letters with zero payloads mixed
+    in; Z/m rings take the packed branch, ints that no update can change,
+    GF(4) its list one, plain and at three homotope scales."""
     fam = GRIDS[name]
     alg = fam.algebra
     rng = random.Random(name)
-    elements = list(alg.base.elements())
     words = [(L,) for L in all_letters(fam) if not fam.is_zero(L.a)]
     words += long_words(fam, rng)
     for s in [None] + [scalar(alg.base, k) for k in SCALES]:
         for w in words:
-            cols = [[rng.choice(elements) for _ in range(alg.n)] for _ in range(alg.n)]
+            start = random_element(alg, rng)
+            cols = alg.columns(start)
             objects = list(cols)
-            values = [list(c) for c in cols]
             buf = cols[:]
             alg.fold_columns(buf, fam.cell_table, w, s)
             assert all(c is o for c, o in zip(cols, objects))
-            assert cols == values
+            assert alg.matrix(cols) == start
             touched = {
                 c
                 for L in w
                 for (_, c), v in zip(fam.cells(L.i, L.j), L.a)
                 if v != alg.base.zero
             }
-            assert all((buf[c] is cols[c]) == (c not in touched) for c in range(alg.n))
+            assert all(buf[c] is cols[c] for c in range(alg.n) if c not in touched)
+
+
+@pytest.mark.parametrize("name", KERNEL_GRIDS)
+def test_shared_prefix_columns_stay_those_of_the_prefix(name):
+    """The grid's sharing at the kernel: the columns of st(x), folded once,
+    are copied shallowly under every second letter y, and each fold of
+    y x^-1 y^-1 onto a copy equals the fold of the whole word from the
+    identity, while the shared buffer still reads st(x).  Negative
+    control: the same fold onto the buffer itself, unshared, leaves it
+    st(x y x^-1 y^-1), not st(x)."""
+    fam = GRIDS[name]
+    alg = fam.algebra
+    neg = alg.base.neg
+    letters = [L for L in all_letters(fam) if not fam.is_zero(L.a)]
+    unit = alg.columns(alg.one)
+    moved = 0
+    for x in letters[:6]:
+        x_inv = Letter(x.i, x.j, tuple(map(neg, x.a)))
+        pre = alg.fold_columns(unit[:], fam.cell_table, (x,))
+        st_x = alg.matrix(pre)
+        for y in letters:
+            rest = (y, x_inv, Letter(y.i, y.j, tuple(map(neg, y.a))))
+            got = alg.fold_columns(pre[:], fam.cell_table, rest)
+            assert got == alg.fold_columns(unit[:], fam.cell_table, (x,) + rest)
+            assert alg.matrix(pre) == st_x
+        alg.fold_columns(pre, fam.cell_table, rest)
+        moved += alg.matrix(pre) != st_x
+    assert moved
 
 
 def test_cell_table_holds_every_label_pair():

@@ -13,6 +13,7 @@ from sforge import (
     MatrixAlgebra,
     NoArrow,
     NonInvertibleComponent,
+    PowerSequenceTooLong,
     RankTooSmall,
     RootActor,
     Word,
@@ -45,6 +46,21 @@ def test_scale_matches_modular_powers(tower):
     for k in range(50):
         assert tower.scale(k) == pow(2, k, 12)
     assert tower.stable_exponent() == 2
+
+
+def test_power_sequence_is_bounded_on_construction():
+    """3 generates the units of Z/65537, so its powers repeat after
+    exactly POWER_SEQUENCE_MAX = 2^16 terms and are tabulated; 3 has
+    order 2^61 - 2 in Z/(2^61 - 1), and that tower is refused when it is
+    built, before any level is asked for."""
+    assert tower_module.POWER_SEQUENCE_MAX == 2 ** 16
+    fam = IdempotentFamily.matrix_units(MatrixAlgebra(Zmod(65537), 2))
+    t = HomotopeTower(fam, 3, k_max=1)
+    assert len(t._power_table()) == 2 ** 16 and t.stable_exponent() == 0
+    assert t.scale(2 ** 16 + 5) == pow(3, 5, 65537)
+    wide = IdempotentFamily.matrix_units(MatrixAlgebra(Zmod(2 ** 61 - 1), 2))
+    with pytest.raises(PowerSequenceTooLong, match="s = 3"):
+        HomotopeTower(wide, 3, k_max=1)
 
 
 def test_structure_map_words_scale_payloads(tower, rng):

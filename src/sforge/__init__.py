@@ -31,9 +31,7 @@ from .words import (
     RankTooSmall,
     SideConditionViolated,
     Word,
-    check_relation_instance,
     diag_act,
-    equal_words,
     exhaustive_relation_grid,
     express_as_commutators,
     f_alpha,
@@ -45,7 +43,6 @@ from .words import (
     sample_relations,
     st_eval,
     u_normal_form,
-    word,
     word_to_json,
 )
 from .tower import (

@@ -9,9 +9,12 @@ inverted; both paths must agree under st, for every choice of the
 auxiliary block.
 
 Word equality in the Steinberg group is generally undecided, so each
-axiom records which oracle certified it: plain st comparison, or the
-exact unipotent normal form when every word involved is supported on one
-triangle.
+axiom records which oracle certified it: plain st comparison, or
+"normal-form" for cm2_inner_word, whose words are meant to lie in U+.
+There one triangle test (support_sign) and one st comparison decide
+equality exactly, since st is injective on U+ and on U-: the verdict is
+that of comparing the two normal forms, and none is computed.  A word
+that leaves its triangle is a counted violation, with st(h) as witness.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .words import (
     random_word,
     require_blocks,
     st_eval,
-    u_normal_form,
+    support_sign,
 )
 
 
@@ -110,10 +113,11 @@ def crossed_module_verify(fam, rng, samples=200, fault=None):
     words of 2 letters.
 
     Checks, per sample: exact st-equivariance of Ad_g; agreement of
-    Ad_{st(h)} with conjugation by h (st always, word-level normal forms
-    on triangular cases); compatibility with products gg'; agreement of
-    the direct and commutator paths on generators for every auxiliary
-    block; and the normality witness that conjugated transvections stay
+    Ad_{st(h)} with conjugation by h (st always, and exact in the
+    Steinberg group for h and w in U+: Ad_{st(h)}(w) must lie in one
+    triangle, where its st image decides it); compatibility with
+    products gg'; agreement of the direct and commutator paths on
+    generators for every auxiliary block; and the normality witness that conjugated transvections stay
     elementary.  fault="drop-diagonal" corrupts the lift on purpose.
     Needs two blocks: every sample draws two distinct labels.
     """
@@ -151,10 +155,12 @@ def crossed_module_verify(fam, rng, samples=200, fault=None):
 
         h_up = random_word(ctx, rng, 2, sign=1)
         w_up = random_word(ctx, rng, 2, sign=1)
-        out_up = action.apply(st_eval(h_up), w_up)
+        sh_up = st_eval(h_up)
+        out_up = action.apply(sh_up, w_up)
         inner_up = h_up * w_up * h_up.inverse()
         tallies["cm2_inner_word"].record(
-            u_normal_form(out_up) == u_normal_form(inner_up)
+            support_sign(out_up) is not None and st_eval(out_up) == st_eval(inner_up),
+            witness=alg.element_to_json(sh_up),
         )
 
         g2 = sample_gl(alg, rng)

@@ -14,15 +14,14 @@ is the one column update for the plain product and the homotope fold.
 st_eval folds onto the identity's buffer and reads the matrix off it.
 A relation instance lhs = rhs is decided as one word, its relator
 lhs * rhs^-1 (_relator, the one construction of relation words, from
-valid letters paired with their negations): the instance holds
-exactly when st sends the relator to the identity, which is tested on
-one column buffer, compared with the identity's by ==, with no matrix
-read off it.  Word equality is decided the
-same way, on w1 * w2^-1.  Every relator begins with its first payload's
-letter x, so the exhaustive grid folds the columns of st(x) once and
-shares them, copied shallowly, across every second payload; it also
-builds each component element's letter once per index tuple and checks
-the tuple's side conditions once.
+letters valid as drawn, each paired with its negation): the instance
+holds exactly when st sends the relator to the identity, which is
+tested on one column buffer, compared with the identity's by ==, with
+no matrix read off it.  The sampler and the exhaustive grid are its
+only callers.  Every relator begins with its first payload's letter x,
+so the grid folds the columns of st(x) once and shares them, copied
+shallowly, across every second payload; it also builds each component
+element's letter once per index tuple.
 
 On the wire a letter's "a" is its n x n matrix.  Formal inverses are
 normalized away on input: x_ij(a)^{-1} = x_ij(-a) holds in every
@@ -34,13 +33,13 @@ Contexts:
     homotope(scale)  st folds payloads with x o y = scale*x*y + x + y,
                      landing in the quasi-invertible elements at that scale
 
-The three equality oracles, from strongest to weakest evidence:
-literal/reduced word identity, normal form on a common unipotent support,
-and equality of st images.  st is injective on U+ and on U- (Milnor,
-Introduction to Algebraic K-Theory, 1971), and the normal form of a
-supported word is a function of its st image and its triangle, so on a
-common unipotent support one st comparison already decides equality in
-the Steinberg group exactly; no normal form need be computed for it.
+Equality in the Steinberg group is decided exactly on one triangle
+only.  st is injective on U+ and on U- (Milnor, Introduction to
+Algebraic K-Theory, 1971), and the normal form of a supported word is a
+function of its st image and its triangle, so two words that each lie
+in U+ or in U- (support_sign is not None) are equal exactly when their
+st images agree; no normal form need be computed for it.  Elsewhere
+equal st images are necessary only.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ class NotUnipotentSupport(SforgeError):
 
 
 class SideConditionViolated(SforgeError):
-    """Relation indices violate the side conditions of the relation."""
+    """A letter's payload has the wrong number of block values for R_ij."""
 
 
 class RankTooSmall(SforgeError):
@@ -176,14 +175,6 @@ def _letter(fam, i, j, a):
     return Letter(i, j, a)
 
 
-def word(ctx, items):
-    """A validated word from (i, j, a) or (i, j, a, e) tuples."""
-    out = Word(ctx)
-    for item in items:
-        out = out * gen(ctx, *item)
-    return out
-
-
 def _unit_columns(ctx):
     """The column buffer of st of the empty word (MatrixAlgebra.columns):
     the identity, or zero in a homotope context."""
@@ -296,6 +287,11 @@ def u_normal_form(w):
     payload a in R_ij (i != j) multiplies the residual by 1 - a on the
     left, which changes only the block-i rows: O(n |block i| |block j|)
     ring operations per letter, as in st_eval.
+
+    No check runs it: on one triangle the normal form is a function of
+    the st image, so one triangle test and one st comparison decide what
+    comparing normal forms would.  It is kept as the tests' oracle for
+    that, and because perfbench's tracer wraps it (words.u_normal_form).
     """
     if w.context.scale is not None:
         raise SforgeError("normal form is defined for plain contexts")
@@ -320,97 +316,22 @@ def u_normal_form(w):
     return Word(w.context, tuple(out))
 
 
-def _in_one_triangle(w):
-    """Is w a plain word whose nonzero letters all lie in U+, or all in U-?
-    An empty support fits either triangle."""
-    return w.context.scale is None and support_sign(w) is not None
-
-
-def equal_words(w1, w2):
-    """(verdict, oracle): graded equality check between two words.
-
-    Tries reduced-word identity, then whether st sends w1 * w2^-1 to the
-    identity, which holds exactly when the st images of w1 and w2 agree:
-    st is a monoid map, and st(x_ij(-a)) is the inverse of st(x_ij(a))
-    because a^2 = 0 for i != j (in a homotope, a o (-a) = -s a^2 = 0).
-    On a common unipotent support of a plain context the verdict is
-    graded "normal-form": st is injective on U+ and on U-, and the normal
-    form is a function of the st image there, so the two words have equal
-    normal forms exactly when their images agree.  Elsewhere equal images
-    are necessary only, graded "st".
-    """
-    if reduce_word(w1) == reduce_word(w2):
-        return True, "word"
-    w = w1 * w2.inverse()
-    oracle = "normal-form" if _in_one_triangle(w) else "st"
-    return _folds_to_unit(w.context, w.letters), oracle
-
-
-RelationCheck = namedtuple("RelationCheck", "ok oracle relation")
-
-
-def check_relation_instance(ctx, kind, i, j, k=None, l=None, a=None, b=None):
-    """Check one instance of (St1), (St2) or (St3) under st.
-
-    a and b are block values.  The instance holds when st sends its
-    relator (_relator) to the identity.  The (St3) right side x_ik(ab)
-    takes the block product of a and b, scaled by the context scale in a
-    homotope context.  A holding plain instance whose relator's nonzero
-    letters lie in one triangle, that is, whose two sides share a
-    unipotent support, is graded "st+normal-form": st is injective on U+
-    and on U-, so there the st comparison is exact, and it agrees with
-    comparing the two normal forms, which are functions of the st
-    images.  Otherwise the grade is "st".
-    """
-    letters = _instance_relator(ctx, kind, i, j, k, l, a, b)
-    ok = _folds_to_unit(ctx, letters)
-    oracle = "st+normal-form" if ok and _in_one_triangle(Word(ctx, letters)) else "st"
-    return RelationCheck(ok, oracle, kind)
-
-
-def _check_side_conditions(kind, i, j, k, l):
-    """Raise unless (i, j, k, l) meets the side conditions of the relation."""
-    if kind == "St2":
-        if j == k or i == l:
-            raise SideConditionViolated("St2 requires j != k and i != l")
-    elif kind == "St3":
-        if i == k:
-            raise SideConditionViolated("St3 requires distinct outer indices")
-    elif kind != "St1":
-        raise ValueError("unknown relation %r" % (kind,))
-
-
 def _signed(fam, i, j, a):
     """(x_ij(a), x_ij(-a)) for the block values a of R_ij, unvalidated."""
     return Letter(i, j, a), Letter(i, j, tuple(map(fam.algebra.base.neg, a)))
-
-
-def _signed_letter(fam, i, j, a):
-    """(x_ij(a), x_ij(-a)), validated as gen() validates x_ij(a)."""
-    return _signed(fam, *_letter(fam, i, j, a))
-
-
-def _instance_relator(ctx, kind, i, j, k, l, a, b, fault=None):
-    """The relator of one relation instance, from its indices and block
-    values, after checking its side conditions."""
-    _check_side_conditions(kind, i, j, k, l)
-    if a is None or b is None:
-        raise SideConditionViolated("%s needs two payloads" % kind)
-    fam = ctx.family
-    x = _signed_letter(fam, i, j, a)
-    y = _signed_letter(fam, *_second_component(kind, i, j, k, l), b)
-    return _relator(ctx, kind, x, y, fault)
 
 
 def _relator(ctx, kind, first, second, fault=None):
     """The letters of lhs * rhs^-1 for one relation instance; it begins with x.
 
     first and second are the signed letters (x, x^-1) and (y, y^-1) of the
-    two payloads a and b, valid and past the side conditions: validated
-    by _signed_letter and _check_side_conditions, or valid as drawn by
-    sample_relations.  The
-    instance holds exactly when st sends the relator to the identity (see
-    equal_words):
+    two payloads a and b (_signed), valid as drawn: the index tuples of
+    relation_index_tuples and random_relation_indices meet the side
+    conditions, and component_elements and sample_component give one
+    value per cell.  The instance holds exactly when st sends the relator
+    to the identity: st is a monoid map, and st(x_ij(-a)) is the inverse
+    of st(x_ij(a)) because a^2 = 0 for i != j (in a homotope,
+    a o (-a) = -s a^2 = 0):
 
         St1  x_ij(a) x_ij(b) x_ij(-(a+b))
         St2  x y x^-1 y^-1                 (the right side is empty)
@@ -649,13 +570,13 @@ def exhaustive_relation_grid(ctx, kind, cap=256):
     """Check a relation for every payload pair over every valid index tuple.
 
     Index tuples whose payload components exceed cap elements are skipped
-    and counted; the rest are verified exhaustively.  Each tuple's side
-    conditions are checked once, and each component element's letter is
-    built once per tuple, not once per pair.  Every relator begins with
-    x (_relator), so the columns of st(x) are folded once per first
-    payload, and each second payload y folds the rest of its relator onto
-    a shallow copy of them: MatrixAlgebra.fold_columns never changes a
-    column in place, so the shared columns stay those of st(x).
+    and counted; the rest are verified exhaustively.  Each component
+    element's letter is built once per tuple, not once per pair.  Every
+    relator begins with x (_relator), so the columns of st(x) are folded
+    once per first payload, and each second payload y folds the rest of
+    its relator onto a shallow copy of them: MatrixAlgebra.fold_columns
+    never changes a column in place, so the shared columns stay those of
+    st(x).
     """
     fam = ctx.family
     fold, table, s = fam.algebra.fold_columns, fam.cell_table, ctx.scale
@@ -666,9 +587,8 @@ def exhaustive_relation_grid(ctx, kind, cap=256):
         if fam.component_size(i, j) > cap or fam.component_size(*second) > cap:
             skipped += 1
             continue
-        _check_side_conditions(kind, i, j, k, l)
-        firsts = [_signed_letter(fam, i, j, a) for a in fam.component_elements(i, j)]
-        seconds = [_signed_letter(fam, *second, b) for b in fam.component_elements(*second)]
+        firsts = [_signed(fam, i, j, a) for a in fam.component_elements(i, j)]
+        seconds = [_signed(fam, *second, b) for b in fam.component_elements(*second)]
         for x in firsts:
             pre = fold(unit[:], table, (x[0],), s)
             for y in seconds:

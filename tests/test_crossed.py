@@ -1,12 +1,18 @@
+import json
 import random
 
 import pytest
 
 from sforge import (
+    GF,
     Context,
     CrossedModuleAction,
+    IdempotentFamily,
     IndexClash,
+    MatrixAlgebra,
+    NotUnipotentSupport,
     Word,
+    Zmod,
     ad_commutator_path,
     crossed_module_verify,
     express_as_commutators,
@@ -14,7 +20,11 @@ from sforge import (
     random_word,
     sample_gl,
     st_eval,
+    u_normal_form,
 )
+from sforge import crossed as crossed_module
+from sforge.cli import main
+from sforge.words import support_sign
 
 
 def _conj(alg, g, m):
@@ -146,3 +156,77 @@ def test_verify_flags_dropped_diagonal(m3z4, rng):
     flagged = axioms["cm1_equivariance"]["violations"] + axioms["cm2_inner_st"]["violations"]
     assert flagged > 0
     assert "witness" in axioms["cm1_equivariance"] or "witness" in axioms["cm2_inner_st"]
+
+
+def _normal_forms_equal(x, y):
+    """The normal-form oracle: a word off both triangles has none, and
+    counts as unequal to every word."""
+    try:
+        return u_normal_form(x) == u_normal_form(y)
+    except NotUnipotentSupport:
+        return False
+
+
+@pytest.mark.parametrize("base", [Zmod(4), GF(2, [1, 1, 1])], ids=["Z4", "GF4"])
+def test_one_triangle_st_comparison_is_the_normal_form_oracle(base):
+    """cm2_inner_word's decision, both words in one triangle and their st
+    images equal, is normal-form equality, on pairs of words in U+, U-
+    and off both, including shuffles, normal forms and words padded by
+    a relator of the other triangle, over M(3, Z/4) and M(3, GF(4))."""
+    fam = IdempotentFamily.matrix_units(MatrixAlgebra(base, 3))
+    ctx = Context(fam)
+    rng = random.Random(repr(base.to_json()))
+    seen = set()
+    for _ in range(400):
+        x = random_word(ctx, rng, rng.randrange(5), sign=rng.choice((1, -1, None)))
+        shuffled = list(x.letters)
+        rng.shuffle(shuffled)
+        a = fam.sample_component(2, 1, rng)
+        pad = gen(ctx, 2, 1, a) * gen(ctx, 2, 1, a, e=-1)
+        y = rng.choice((
+            random_word(ctx, rng, rng.randrange(5), sign=rng.choice((1, -1, None))),
+            Word(ctx, tuple(shuffled)),
+            Word(ctx),
+            x * pad,
+            u_normal_form(x) if support_sign(x) is not None else x.inverse(),
+        ))
+        for p, q in ((x, y), (y, x)):
+            decided = support_sign(p) is not None and support_sign(q) is not None and st_eval(p) == st_eval(q)
+            oracle = _normal_forms_equal(p, q)
+            assert decided == oracle, (p, q)
+            seen.add((oracle, support_sign(p) is None or support_sign(q) is None))
+    assert seen == {(True, False), (False, False), (False, True)}
+
+
+def test_lift_leaving_its_triangle_is_a_counted_violation(tmp_path, capsys, monkeypatch):
+    """A lift word padded by h_12(-1)^2, which st sends to 1, leaves
+    every triangle: Ad_{st(h)}(w) no longer lies in U+, so cm2_inner_word
+    counts a violation, with a witness, on every sample, the st-graded
+    axioms all hold, and the run prints its report rather than stopping
+    with an error.
+    Here h_12(-1) = w_12(-1) w_12(-1), w_12(u) = x_12(u) x_21(-u^-1) x_12(u)."""
+    lift_to_st = crossed_module.lift_to_st
+
+    def padded(fam, g):
+        w, d = lift_to_st(fam, g)
+        ctx = w.context
+        minus_one, one = (fam.algebra.base.element(-1),), (fam.algebra.base.one,)
+        w12 = gen(ctx, 1, 2, minus_one) * gen(ctx, 2, 1, one) * gen(ctx, 1, 2, minus_one)
+        h12 = w12 * w12
+        return w * h12 * h12, d
+
+    monkeypatch.setattr(crossed_module, "lift_to_st", padded)
+    ring = {"kind": "Mat", "size": 4, "base": {"kind": "Zmod", "m": 4}}
+    cfg = tmp_path / "cm.json"
+    cfg.write_text(json.dumps({"ring": ring, "family": "units", "samples": 20}), encoding="utf-8")
+    code = main(["crossed-module", "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "error:" not in err
+    report = json.loads(out)
+    assert report["verdict"] == "fail"
+    axioms = report["suites"]["axioms"]
+    assert axioms["cm2_inner_word"]["checked"] == axioms["cm2_inner_word"]["violations"] == 20
+    assert "witness" in axioms["cm2_inner_word"]
+    assert all(t["violations"] == 0 for name, t in axioms.items() if name != "cm2_inner_word")
+    assert report["violations"] == 20

@@ -20,9 +20,8 @@ from sforge import (
     SideConditionViolated,
     Word,
     Zmod,
-    check_relation_instance,
+    crossed_module_verify,
     diag_act,
-    equal_words,
     exhaustive_relation_grid,
     express_as_commutators,
     f_alpha,
@@ -34,7 +33,6 @@ from sforge import (
     sample_relations,
     st_eval,
     u_normal_form,
-    word,
     word_to_json,
 )
 from sforge import words as words_module
@@ -44,6 +42,20 @@ from sforge.words import relation_index_tuples, support_sign
 def commutator(w1, w2):
     """The word w1 w2 w1^-1 w2^-1."""
     return w1 * w2 * w1.inverse() * w2.inverse()
+
+
+def _instance_relator(ctx, kind, i, j, k, l, a, b, fault=None):
+    """The relator words._relator builds for one instance, from letters
+    validated as gen validates them."""
+    p, q = words_module._second_component(kind, i, j, k, l)
+    x = words_module._signed(ctx.family, *gen(ctx, i, j, a).letters[0])
+    y = words_module._signed(ctx.family, *gen(ctx, p, q, b).letters[0])
+    return words_module._relator(ctx, kind, x, y, fault)
+
+
+def _instance_holds(ctx, kind, i, j, k, l, a, b):
+    """Does st send the instance's relator to the identity?"""
+    return words_module._folds_to_unit(ctx, _instance_relator(ctx, kind, i, j, k, l, a, b))
 
 
 @pytest.fixture
@@ -113,21 +125,9 @@ def test_relation_instances_sampled(plain, homotope, rng):
                 else:
                     a = fam.sample_component(i, j, rng)
                     b = fam.sample_component(j, k, rng)
-                res = check_relation_instance(ctx, kind, i, j, k, l, a, b)
-                assert res.ok, (ctx.scale, kind, i, j, k, l)
-                assert res.relation == kind
-
-
-def test_relation_side_conditions_raise(plain, rng):
-    fam = plain.family
-    a = fam.sample_component(1, 2, rng)
-    b = fam.sample_component(2, 3, rng)
-    with pytest.raises(SideConditionViolated):
-        check_relation_instance(plain, "St2", 1, 2, 2, 3, a=a, b=b)
-    with pytest.raises(SideConditionViolated):
-        check_relation_instance(plain, "St3", 1, 2, 1, a=a, b=fam.sample_component(2, 1, rng))
-    with pytest.raises(ValueError):
-        check_relation_instance(plain, "St9", 1, 2, a=a, b=a)
+                lhs, rhs = _relation_sides(ctx, kind, i, j, k, l, a, b)
+                assert st_eval(lhs) == st_eval(rhs), (ctx.scale, kind, i, j, k, l)
+                assert _instance_holds(ctx, kind, i, j, k, l, a, b)
 
 
 def test_homotope_st3_needs_the_scale(homotope, rng):
@@ -171,14 +171,13 @@ def test_reduce_canonicalizes_commuting_shuffle(plain, rng):
     fam = plain.family
     a = fam.sample_component(1, 2, rng)
     c = fam.sample_component(3, 2, rng)  # (3,2) and (1,2) commute by St2
-    w1 = word(plain, [(1, 2, a), (3, 2, c)])
-    w2 = word(plain, [(3, 2, c), (1, 2, a)])
-    assert reduce_word(w1) == reduce_word(w2)
+    x12, x32 = gen(plain, 1, 2, a), gen(plain, 3, 2, c)
+    assert reduce_word(x12 * x32) == reduce_word(x32 * x12)
     # same slot merges, zeros drop
     alg = plain.algebra
     neg_a = fam.project(alg.neg(fam.to_matrix(a, 1, 2)), 1, 2)
-    w3 = word(plain, [(1, 2, a), (1, 2, neg_a), (3, 2, c)])
-    assert reduce_word(w3) == reduce_word(word(plain, [(3, 2, c)]))
+    w3 = x12 * gen(plain, 1, 2, neg_a) * x32
+    assert reduce_word(w3) == reduce_word(x32)
 
 
 def test_normal_form_exact_on_unipotent_support(plain, rng):
@@ -209,22 +208,6 @@ def test_normal_form_refuses_mixed_and_homotope(plain, homotope, rng):
         u_normal_form(up * down)
     with pytest.raises(SforgeError):
         u_normal_form(random_word(homotope, rng, 2, sign=1))
-
-
-def test_equal_words_grades(plain, rng):
-    w = random_word(plain, rng, 3)
-    assert equal_words(w, w) == (True, "word")
-    up = random_word(plain, rng, 3, sign=1)
-    shuffled = list(up.letters)
-    rng.shuffle(shuffled)
-    v = Word(plain, tuple(shuffled))
-    verdict, oracle = equal_words(up, v)
-    assert verdict == (st_eval(up) == st_eval(v))
-    assert oracle in ("word", "normal-form")
-    mixed = up * random_word(plain, rng, 2, sign=-1)
-    zero = plain.family.project(plain.algebra.zero, 1, 2)
-    verdict, oracle = equal_words(mixed, mixed * word(plain, [(1, 2, zero)]))
-    assert verdict and oracle in ("word", "st")
 
 
 def _random_diagonal(fam, rng):
@@ -434,10 +417,10 @@ def _relation_sides(ctx, kind, i, j, k, l, a, b, fault=None):
         c = alg.add(fam.to_matrix(a, i, j), fam.to_matrix(b, i, j))
         return gen(ctx, i, j, a) * gen(ctx, i, j, b), gen(ctx, i, j, fam.project(c, i, j))
     if kind == "St2":
-        return commutator(gen(ctx, i, j, a), gen(ctx, k, l, b)), word(ctx, [])
+        return commutator(gen(ctx, i, j, a), gen(ctx, k, l, b)), Word(ctx)
     lhs = commutator(gen(ctx, i, j, a), gen(ctx, j, k, b))
     if fault == "st3-zero":
-        return lhs, word(ctx, [])
+        return lhs, Word(ctx)
     c = alg.mul(fam.to_matrix(a, i, j), fam.to_matrix(b, j, k))
     if ctx.scale is not None and fault != "drop-scale":
         c = alg.scalar_mul(ctx.scale, c)
@@ -458,11 +441,13 @@ RELATION_GRIDS = {
 
 @pytest.mark.parametrize("name", sorted(RELATION_GRIDS))
 def test_relation_st_comparison_matches_normal_form_oracle(name, monkeypatch):
-    """On a common unipotent support, comparing normal forms (the oracle
-    check_relation_instance used to run after st) agrees with comparing st
-    images, on every instance of the exhaustive grid.  A corrupted (St3)
-    right side, a*b plus a unit on its first cell, is flagged by
-    check_relation_instance and, where it applies, by the normal forms."""
+    """On a common unipotent support, comparing normal forms agrees with
+    comparing st images, on every instance of the exhaustive grid, and so
+    does folding the instance's relator (_relator, _folds_to_unit).  The
+    relator lies in one triangle exactly when the two sides share a
+    unipotent support.  A corrupted (St3) right side, a*b plus a unit on
+    its first cell, is flagged by the relator's fold and, where it
+    applies, by the normal forms."""
     base, n, blocks = RELATION_GRIDS[name]
     A = MatrixAlgebra(base, n)
     fam = IdempotentFamily.matrix_units(A) if blocks is None else IdempotentFamily(A, blocks)
@@ -477,14 +462,14 @@ def test_relation_st_comparison_matches_normal_form_oracle(name, monkeypatch):
                     count += 1
                     lhs, rhs = _relation_sides(ctx, kind, i, j, k, l, a, b)
                     st_equal = st_eval(lhs) == st_eval(rhs)
-                    res = check_relation_instance(ctx, kind, i, j, k, l, a, b)
-                    assert res.ok == st_equal
-                    if not _common_support(lhs, rhs):
-                        assert res.oracle == "st"
+                    relator = _instance_relator(ctx, kind, i, j, k, l, a, b)
+                    assert words_module._folds_to_unit(ctx, relator) == st_equal
+                    common = _common_support(lhs, rhs)
+                    assert common == (support_sign(Word(ctx, relator)) is not None)
+                    if not common:
                         continue
                     nf_equal = u_normal_form(lhs) == u_normal_form(rhs)
                     assert nf_equal == st_equal
-                    assert res.oracle == ("st+normal-form" if st_equal else "st")
                     graded += 1
                     if kind != "St3":
                         continue
@@ -493,8 +478,7 @@ def test_relation_st_comparison_matches_normal_form_oracle(name, monkeypatch):
                     bad_c = fam.project(A.add(ab, A.unit_matrix(r, c)), i, k)
                     with monkeypatch.context() as mp:
                         mp.setattr(fam, "block_mul", lambda *args: bad_c)
-                        res = check_relation_instance(ctx, kind, i, j, k, l, a, b)
-                    assert res == (False, "st", "St3")
+                        assert not _instance_holds(ctx, kind, i, j, k, l, a, b)
                     bad = gen(ctx, i, k, bad_c)
                     if _common_support(lhs, bad):
                         assert u_normal_form(lhs) != u_normal_form(bad)
@@ -506,30 +490,20 @@ def test_relation_st_comparison_matches_normal_form_oracle(name, monkeypatch):
 
 
 def test_relation_checks_compute_no_normal_form(plain, rng, monkeypatch):
-    """Relation checks and common-support word equality compare st images
-    once; none of them computes a normal form."""
+    """The relation sampler and the crossed-module suite, whose
+    cm2_inner_word is graded "normal-form", compare st images; neither
+    computes a normal form, through any binding of u_normal_form."""
 
-    def refuse(w):
-        raise AssertionError("u_normal_form called")
+    def refuse(*args):
+        raise AssertionError("normal form computed")
 
     monkeypatch.setattr(words_module, "u_normal_form", refuse)
-    fam = plain.family
-    a = fam.sample_component(1, 2, rng)
-    b = fam.sample_component(2, 3, rng)
-    res = check_relation_instance(plain, "St3", 1, 2, 3, a=a, b=b)
-    assert res == (True, "st+normal-form", "St3")
-    res = check_relation_instance(plain, "St1", 1, 2, a=a, b=a)
-    assert res == (True, "st+normal-form", "St1")
+    monkeypatch.setattr(words_module, "_position_order", refuse)
     out = sample_relations(plain, rng, ("St1", "St2", "St3"), 50)
     assert all(v == {"checked": 50, "violations": 0} for v in out.values())
-    one = (plain.algebra.base.one,)
-    x12 = gen(plain, 1, 2, one)
-    x23 = gen(plain, 2, 3, one)
-    assert equal_words(x12 * x23, x23 * x12) == (False, "normal-form")
-    assert equal_words(commutator(x12, x23), gen(plain, 1, 3, one)) == (
-        True,
-        "normal-form",
-    )
+    report = crossed_module_verify(plain.family, rng, samples=20)
+    assert report["verdict"] == "pass"
+    assert report["axioms"]["cm2_inner_word"] == {"checked": 20, "oracle": "normal-form", "violations": 0}
 
 
 INVERSE_CASES = {
@@ -614,7 +588,8 @@ def _reference_verdict(ctx, kind, x, y, fault):
 def test_grid_and_sampler_agree_with_check_relation_instance(name, monkeypatch):
     """Every instance the exhaustive grid and the sampler check, plain and
     homotope, gets the verdict of comparing st of its two dense reference
-    sides, and so does check_relation_instance; under st3-zero and
+    sides, and so does its relator built from validated letters and
+    folded by _folds_to_unit; under st3-zero and
     drop-scale the sampler's verdicts are those of the dense sides with
     the (St3) right side corrupted.  Each relator's own verdict, st_eval
     of the whole relator word, agrees too, and the grid counts exactly
@@ -643,7 +618,7 @@ def test_grid_and_sampler_agree_with_check_relation_instance(name, monkeypatch):
             assert grid == {"checked": len(want), "violations": verdicts.count(False), "tuples_skipped": 0}
             for (_, x, y, _, _), ok in zip(got, verdicts):
                 i, j, k, l = _instance_indices(kind, x, y)
-                assert check_relation_instance(ctx, kind, i, j, k, l, x.a, y.a).ok == ok
+                assert _instance_holds(ctx, kind, i, j, k, l, x.a, y.a) == ok
         for fault in (None, "st3-zero", "drop-scale"):
             del seen[:]
             out = sample_relations(ctx, random.Random(name), kinds, 60, fault)
@@ -694,12 +669,12 @@ EQUAL_WORDS_RINGS = {"Z6": (Zmod(6), 2), "GF4": (GF(2, [1, 1, 1]), [0, 1])}
 
 @pytest.mark.parametrize("name", sorted(EQUAL_WORDS_RINGS))
 def test_equal_words_agrees_with_st_images(name):
-    """equal_words decides w1 = w2 as st(w1 * w2^-1) = 1; its verdict is
-    that of comparing st(w1) with st(w2), plain and homotope, on random
-    words of unequal lengths, on the empty word, and on pairs equal by
-    (St3) that reduce_word does not identify.  Its grade is "word" or,
-    past reduction, "normal-form" exactly on a common unipotent support
-    of a plain context."""
+    """Folding w1 * w2^-1 onto the identity's columns (_folds_to_unit)
+    decides what comparing st(w1) with st(w2) does, plain and homotope,
+    on random words of unequal lengths, on the empty word, and on pairs
+    equal by (St3) that reduce_word does not identify.  w1 * w2^-1 lies in one triangle exactly on a common
+    unipotent support; in a plain context its normal forms compare there
+    as the st images do."""
     base, scale = EQUAL_WORDS_RINGS[name]
     fam = IdempotentFamily(MatrixAlgebra(base, 4), [[0, 1], [2], [3]])
     rng = random.Random(name)
@@ -716,13 +691,15 @@ def test_equal_words_agrees_with_st_images(name):
             pairs += [(w1, w2), (w1, Word(ctx)), (Word(ctx), w2), (w1 * lhs, w1 * rhs)]
         pairs.append((Word(ctx), Word(ctx)))
         for w1, w2 in pairs:
-            verdict, oracle = equal_words(w1, w2)
+            quotient = w1 * w2.inverse()
+            verdict = words_module._folds_to_unit(ctx, quotient.letters)
             assert verdict == (st_eval(w1) == st_eval(w2)), (w1, w2)
-            if oracle != "word":
-                common = ctx.scale is None and _common_support(w1, w2)
-                assert oracle == ("normal-form" if common else "st")
-            graded.add((oracle, verdict))
-    assert graded == {("word", True), ("normal-form", True), ("normal-form", False), ("st", True), ("st", False)}
+            common = support_sign(quotient) is not None
+            assert common == _common_support(w1, w2)
+            if common and ctx.scale is None:
+                assert (u_normal_form(w1) == u_normal_form(w2)) == verdict
+            graded.add((ctx.scale is None and common, verdict))
+    assert graded == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_grid_builds_each_letter_once_per_tuple(monkeypatch):
@@ -732,13 +709,13 @@ def test_grid_builds_each_letter_once_per_tuple(monkeypatch):
     fam = IdempotentFamily(MatrixAlgebra(Zmod(2), 4), [[0], [1, 2], [3]])
     ctx = Context(fam)
     calls = []
-    original = words_module._letter
+    original = words_module._signed
 
     def counted(fam, i, j, a):
         calls.append((i, j, tuple(a)))
         return original(fam, i, j, a)
 
-    monkeypatch.setattr(words_module, "_letter", counted)
+    monkeypatch.setattr(words_module, "_signed", counted)
     for kind in ("St1", "St2", "St3"):
         del calls[:]
         grid = exhaustive_relation_grid(ctx, kind)
@@ -756,8 +733,8 @@ def test_grid_builds_each_letter_once_per_tuple(monkeypatch):
 
 def _sample_relations_per_instance(ctx, rng, kinds, samples, fault=None):
     """The sampler's per-instance path, as the oracle for sample_relations:
-    the same draws, each instance's relator built by _instance_relator,
-    which re-checks its side conditions and validates both payloads, and
+    the same draws, each instance's side conditions checked, its relator
+    built by _instance_relator, which validates both payloads, and
     decided by _folds_to_unit."""
     fam = ctx.family
     unit = words_module._unit_columns(ctx)
@@ -768,7 +745,8 @@ def _sample_relations_per_instance(ctx, rng, kinds, samples, fault=None):
             i, j, k, l = random_relation_indices(fam, rng, kind)
             a = fam.sample_component(i, j, rng)
             b = fam.sample_component(*words_module._second_component(kind, i, j, k, l), rng)
-            letters = words_module._instance_relator(ctx, kind, i, j, k, l, a, b, fault)
+            assert _meets_side_conditions(kind, i, j, k, l)
+            letters = _instance_relator(ctx, kind, i, j, k, l, a, b, fault)
             bad += not words_module._folds_to_unit(ctx, letters, unit=unit)
         out[kind] = {"checked": samples, "violations": bad}
     return out
@@ -817,10 +795,43 @@ class _ScriptedDraws:
         return list(got)
 
 
+def _meets_side_conditions(kind, i, j, k, l):
+    """The side conditions of a relation on its index tuple: i != j for
+    all three, k != l, j != k and i != l for (St2), and i, j, k distinct
+    for (St3); unused indices are None."""
+    if kind == "St1":
+        return i != j and k is None and l is None
+    if kind == "St2":
+        return i != j and k != l and j != k and i != l
+    return kind == "St3" and len({i, j, k}) == 3 and l is None
+
+
+def test_relation_index_tuples_meet_the_side_conditions():
+    """On a 4-block family, relation_index_tuples is exactly the set of
+    label tuples past the side conditions of each relation, and every
+    tuple random_relation_indices draws is one of them; both refuse an
+    unknown relation.  The grid and the sampler build letters from these
+    tuples without checking them again."""
+    fam = IdempotentFamily(MatrixAlgebra(Zmod(2), 5), [[0], [1], [2, 4], [3]])
+    labels = list(fam.labels())
+    rng = random.Random(4)
+    for kind, arity in (("St1", 2), ("St2", 4), ("St3", 3)):
+        tuples = relation_index_tuples(fam, kind)
+        padded = [t + (None,) * (4 - arity) for t in itertools.product(labels, repeat=arity)]
+        assert tuples == [t for t in padded if _meets_side_conditions(kind, *t)]
+        drawn = {random_relation_indices(fam, rng, kind) for _ in range(400)}
+        assert drawn <= set(tuples)
+    for bad in ("St4", None):
+        with pytest.raises(ValueError):
+            relation_index_tuples(fam, bad)
+        with pytest.raises(ValueError):
+            random_relation_indices(fam, rng, bad)
+
+
 def test_random_relation_indices_meet_the_side_conditions():
     """Every tuple random_relation_indices can return, over every script of
-    label draws, passes _check_side_conditions, which sample_relations no
-    longer runs per instance, and together they are relation_index_tuples.
+    label draws, passes the side conditions, which sample_relations does
+    not check per instance, and together they are relation_index_tuples.
     An St2 script whose draws are rejected runs out on the redraw."""
     for blocks in ([[0], [1], [2], [3]], [[0], [1], [2, 4], [3], [5]]):
         fam = IdempotentFamily(MatrixAlgebra(Zmod(2), sum(map(len, blocks))), blocks)
@@ -835,7 +846,7 @@ def test_random_relation_indices_meet_the_side_conditions():
                 except IndexError:
                     rejected += 1
                     continue
-                words_module._check_side_conditions(kind, *t)
+                assert _meets_side_conditions(kind, *t)
                 returned.add(t)
             assert returned == set(relation_index_tuples(fam, kind))
             assert rejected > 0 if kind == "St2" else rejected == 0

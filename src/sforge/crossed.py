@@ -8,6 +8,10 @@ expansion of a letter through witness commutators, so no Ad_g word is
 inverted; both paths must agree under st, for every choice of the
 auxiliary block.
 
+Equivariance (cm1) and normality (cm5) say st(Ad_g w) = g st(w) g^-1.
+Each is decided as the intertwining st(Ad_g w) g == g st(w), which is
+equivalent because sample_gl returns only units, so no g is inverted.
+
 Word equality in the Steinberg group is generally undecided, so each
 axiom records which oracle certified it: plain st comparison, or
 "normal-form" for cm2_inner_word, whose words are meant to lie in U+.
@@ -79,10 +83,6 @@ def ad_commutator_path(action, g, i, k, c, j=None):
     return Word(ctx, tuple(out))
 
 
-def _conj(alg, g, g_inv, m):
-    return alg.mul(g, alg.mul(m, g_inv))
-
-
 class _AxiomTally:
     def __init__(self, oracle):
         self.checked = 0
@@ -112,13 +112,15 @@ def crossed_module_verify(fam, rng, samples=200, fault=None):
     """Run the five-axiom suite on sampled (g, h, w) triples, h and w
     words of 2 letters.
 
-    Checks, per sample: exact st-equivariance of Ad_g; agreement of
+    Checks, per sample: exact st-equivariance of Ad_g, decided as
+    st(Ad_g w) g == g st(w) with no g inverted; agreement of
     Ad_{st(h)} with conjugation by h (st always, and exact in the
     Steinberg group for h and w in U+: Ad_{st(h)}(w) must lie in one
     triangle, where its st image decides it); compatibility with
     products gg'; agreement of the direct and commutator paths on
-    generators for every auxiliary block; and the normality witness that conjugated transvections stay
-    elementary.  fault="drop-diagonal" corrupts the lift on purpose.
+    generators for every auxiliary block; and the normality witness that
+    conjugated transvections stay elementary, decided like equivariance.
+    fault="drop-diagonal" corrupts the lift on purpose.
     Needs two blocks: every sample draws two distinct labels.
     """
     require_blocks(fam, 2, "the crossed-module suite")
@@ -136,14 +138,13 @@ def crossed_module_verify(fam, rng, samples=200, fault=None):
     labels = list(fam.labels())
     for _ in range(samples):
         g = sample_gl(alg, rng)
-        g_inv = alg.inv(g)
         w = random_word(ctx, rng, 2)
         h = random_word(ctx, rng, 2)
 
         out = action.apply(g, w)
-        target = _conj(alg, g, g_inv, st_eval(w))
         tallies["cm1_equivariance"].record(
-            st_eval(out) == target, witness=alg.element_to_json(g)
+            alg.mul(st_eval(out), g) == alg.mul(g, st_eval(w)),
+            witness=alg.element_to_json(g),
         )
 
         sh = st_eval(h)
@@ -181,7 +182,7 @@ def crossed_module_verify(fam, rng, samples=200, fault=None):
             )
 
         tallies["cm5_normality"].record(
-            st_direct == _conj(alg, g, g_inv, st_eval(letter)),
+            alg.mul(st_direct, g) == alg.mul(g, st_eval(letter)),
             witness=[i, k],
         )
     axioms = {name: t.to_json() for name, t in tallies.items()}

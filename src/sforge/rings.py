@@ -710,27 +710,6 @@ class MatrixAlgebra:
         runs.append(letters[first:])
         return runs
 
-    def add_row_multiples(self, rows, cells, values):
-        """Left-multiply by a letter's 1 + a, on a list of row lists, in place.
-
-        For each cell (r, c) with a nonzero value v: row r += v * row c.
-        No r may also be a c.
-        """
-        m = self._mod
-        if m is not None:
-            for (r, c), v in zip(cells, values):
-                if v:
-                    rows[r] = [(x + v * y) % m for x, y in zip(rows[r], rows[c])]
-            return
-        base = self.base
-        zero = base.zero
-        for (r, c), v in zip(cells, values):
-            if v != zero:
-                rows[r] = [
-                    x if y == zero else base.add(x, base.mul(v, y))
-                    for x, y in zip(rows[r], rows[c])
-                ]
-
     def elements(self):
         base_all = list(self.base.elements())
         for flat in itertools.product(base_all, repeat=self.n * self.n):

@@ -90,34 +90,27 @@ class HomotopeTower:
         if k_max < 0:
             raise ValueError("level budget must be nonnegative")
         self.k_max = k_max
-        self._powers = None
-        self._preperiod = None
+        pows = [self.scalar.one]
+        seen = {self.scalar.one: 0}
+        while True:
+            v = self.scalar.mul(pows[-1], self.s)
+            if v in seen:
+                self._preperiod = seen[v]
+                break
+            if len(pows) == POWER_SEQUENCE_MAX:
+                raise PowerSequenceTooLong(
+                    "the powers of the scale s = %s over %r do not repeat within "
+                    "%d terms, the bound on a tower's power sequence"
+                    % (self.scalar.element_to_json(self.s), self.scalar, POWER_SEQUENCE_MAX)
+                )
+            seen[v] = len(pows)
+            pows.append(v)
+        self._powers = pows
         self._localized = None
-        self._power_table()
-
-    def _power_table(self):
-        if self._powers is None:
-            pows = [self.scalar.one]
-            seen = {self.scalar.one: 0}
-            while True:
-                v = self.scalar.mul(pows[-1], self.s)
-                if v in seen:
-                    self._preperiod = seen[v]
-                    break
-                if len(pows) == POWER_SEQUENCE_MAX:
-                    raise PowerSequenceTooLong(
-                        "the powers of the scale s = %s over %r do not repeat within "
-                        "%d terms, the bound on a tower's power sequence"
-                        % (self.scalar.element_to_json(self.s), self.scalar, POWER_SEQUENCE_MAX)
-                    )
-                seen[v] = len(pows)
-                pows.append(v)
-            self._powers = pows
-        return self._powers
 
     def scale(self, k):
         """The scalar s^k (exact for any k >= 0)."""
-        pows = self._power_table()
+        pows = self._powers
         if k < len(pows):
             return pows[k]
         mu = self._preperiod
@@ -126,7 +119,6 @@ class HomotopeTower:
 
     def stable_exponent(self):
         """The least e with s^e on the periodic part of the power sequence."""
-        self._power_table()
         return self._preperiod
 
     def scale_block(self, e, a):
@@ -196,7 +188,7 @@ def premorphism_equiv(tower, i, j, f, g, carrier, budget=None):
         budget = tower.k_max
     (a, fs), (c, gs) = f, g
     d = max(fs, gs)
-    horizon = len(tower._power_table()) + 1
+    horizon = len(tower._powers) + 1
     worst = 0
     exhausted = False
     for b in carrier:
@@ -234,8 +226,8 @@ class LocalizedTower:
     localized ring: one packed int per column when it is Z/d, so both
     sides compare as ints; _times_corner reads and writes the block-i
     columns one at a time (MatrixAlgebra.unpack_column, pack_column).
-    conj, the test oracle of intertwines, goes through columns() and
-    matrix().
+    conj, the dense test oracle of intertwines, inverts g and multiplies
+    n x n matrices, so it shares no kernel with the folds it checks.
     """
 
     def __init__(self, tower):
@@ -334,43 +326,22 @@ class LocalizedTower:
         return cols
 
     def conj(self, actor, x):
-        """g x g^-1 for the localized image g of the actor, from its block
-        values and its known inverse; no matrix is inverted or multiplied.
-
-        No check calls it: ad_equivariance_check decides its identity as
-        intertwines, and conj is kept as that check's test oracle and as a
-        name perfbench's tracer wraps; it can go at the next benchmark
-        change.
-        A root actor is g = 1 + v with v = psi(num)/s^den in R_ij and
-        g^-1 = 1 - v: MatrixAlgebra.add_row_multiples gives the block-i
-        rows v times the block-j rows, then fold_columns of the one letter
-        x_ij(-v) gives the block-j columns the block-i columns times -v.
-        Both kernels need no row (column) to be both source and target,
-        which i != j grants.
-        A diagonal actor is g = 1 - e_i + u with u = psi(num)/s^den in R_ii
-        and g^-1 = 1 - e_i + psi(inv_block); its corner is both source and
-        target, so the block-i rows become u times themselves, then the
-        block-i columns themselves times psi(inv_block), by block_mul on
-        projections written back.  O(n |block i| (|block i| + |block j|))
-        ring operations.
+        """g x g^-1 for the localized image g of the actor, by
+        MatrixAlgebra.inv and two n x n products: the dense reference that
+        intertwines is tested against.  A root actor's g is 1 + v, with
+        v = psi(num)/s^den in R_ij; a diagonal actor's is 1 - e_i + u,
+        with u = psi(num)/s^den in R_ii.  No check calls it; perfbench's
+        tracer wraps the name.
         """
         fam = self.family
         alg = self.algebra
-        base = alg.base
-        psi = self.scalar_loc.psi
         a = self._values(actor)
         i = actor.i
         if isinstance(actor, RootActor):
-            j = actor.j
-            rows = list(x)
-            alg.add_row_multiples(rows, fam.cells(i, j), a)
-            cols = alg.columns(rows)
-            alg.fold_columns(cols, fam.cell_table, ((i, j, tuple(map(base.neg, a))),))
-            return alg.matrix(cols)
-        every = tuple(fam.labels())
-        b = tuple(map(psi, actor.inv_block))
-        x = fam.write(x, fam.block_mul(a, i, i, fam.project(x, i, every), every), i, every)
-        return fam.write(x, fam.block_mul(fam.project(x, every, i), every, i, b, i), every, i)
+            g = alg.add(alg.one, fam.to_matrix(a, i, actor.j))
+        else:
+            g = fam.write(alg.one, a, i, i)
+        return alg.mul(g, alg.mul(x, alg.inv(g)))
 
 
 class DiagActor:

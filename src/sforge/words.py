@@ -284,9 +284,9 @@ def u_normal_form(w):
     Positions are filled in increasing height order; payloads are peeled
     off the exact st image, so two supported words have the same normal
     form exactly when they are equal in the Steinberg group.  Peeling a
-    payload a in R_ij (i != j) multiplies the residual by 1 - a on the
-    left, which changes only the block-i rows: O(n |block i| |block j|)
-    ring operations per letter, as in st_eval.
+    payload a in R_ij replaces the residual r by (1 - a) r = r - a r, one
+    n x n product per letter: it is the dense reference, sharing no
+    kernel with the column folds.
 
     No check runs it: on one triangle the normal form is a function of
     the st image, so one triangle test and one st comparison decide what
@@ -302,16 +302,14 @@ def u_normal_form(w):
         raise NotUnipotentSupport("word mixes upper and lower letters")
     if sign == 0:
         return Word(w.context)
-    neg = alg.base.neg
-    rows = list(st_eval(w))
+    r = st_eval(w)
     out = []
     for (i, j) in _position_order(fam, sign):
-        a = fam.project(rows, i, j)
+        a = fam.project(r, i, j)
         if not fam.is_zero(a):
             out.append(Letter(i, j, a))
-            # (1 - a) * residual: a row update on the block-i rows
-            alg.add_row_multiples(rows, fam.cells(i, j), map(neg, a))
-    if tuple(map(tuple, rows)) != alg.one:
+            r = alg.sub(r, alg.mul(fam.to_matrix(a, i, j), r))
+    if r != alg.one:
         raise SforgeError("unipotent extraction failed; support was not unipotent")
     return Word(w.context, tuple(out))
 

@@ -624,3 +624,34 @@ def test_long_word_reports_match_their_golden_sha256(tmp_path, capsys, n):
         "seed": 0,
     }
     assert_golden(tmp_path, capsys, ["crossed-module"], config, LONG_WORD_GOLDEN[n])
+
+
+# Report sha256s of crossed-module runs with their lift's diagonal
+# dropped: the bytes of a failing report, witnesses included.  At
+# M(4, GF(9)) the violations read cm1 19, cm3 20 and cm5 15.
+FAULT_GOLDEN = {
+    "M4-GF9": (
+        {
+            "ring": {"kind": "Mat", "size": 4, "base": {"kind": "GF", "p": 3, "f": [1, 0, 1]}},
+            "family": "units",
+            "samples": 20,
+            "seed": 0,
+        },
+        "246cb837bc5f762b56480cd1879ae1119c1a7ebbca6995f03778ea64ecd403ec",
+    ),
+    "M3-Z4": (
+        {"ring": M3Z4, "samples": 25},
+        "cd702bd19c7276af95b680507208880b5f7dc4b97a773dabeca0708421b58804",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAULT_GOLDEN))
+def test_dropped_diagonal_reports_match_their_golden_sha256(tmp_path, capsys, name):
+    config, want = FAULT_GOLDEN[name]
+    cfg = write_config(tmp_path, "golden.json", config)
+    code, out, _ = run_main(
+        capsys, ["crossed-module", "--config", cfg, "--inject-fault", "drop-diagonal"]
+    )
+    assert code == 1
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want

@@ -255,11 +255,10 @@ def cmd_tower(cfg, args):
     tower = HomotopeTower(fam, cfg.scale, cfg.k_max)
     rng = random.Random(cfg.seed)
     per_level = max(1, cfg.samples // (cfg.k_max + 1))
-    mutate = "drop-scale" if args.inject_fault == "drop-scale" else None
 
     suites = {}
     violations = 0
-    rel = tower_relation_suite(tower, rng, samples_per_level=per_level, mutate=mutate)
+    rel = tower_relation_suite(tower, rng, samples_per_level=per_level, mutate=args.inject_fault)
     warnings = list(rel.pop("warnings"))
     suites["relations"] = rel
     violations += rel["violations"]

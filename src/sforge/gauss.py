@@ -2,23 +2,23 @@
 finite semi-local instances, and lifting of invertible elements through
 the Steinberg word group.
 
-The two-block step follows the classical pivot argument: choose a in
-R_tJ, J the labels after t, so that the J-corner of g(1 + a) is
-invertible (per residue field, greedy column fixing, then a CRT lift),
-clear the lower block, and read off the three unipotent payloads and the
-diagonal.  It works on block values: g is read once as its four blocks
-g_tt, g_tJ, g_Jt and g_JJ, every product is IdempotentFamily.block_mul,
-and the two inverses are corner inverses of R_tt and R_JJ.
+The two-block step is block LU by Schur complements with the classical
+pivot: choose a in R_tJ, J the labels after t, so that the J-corner
+delta of g(1 + a) is invertible (per residue field, greedy column
+fixing, then a CRT lift); then c = g(1 + a)_tJ delta^-1, u = g_tt - c g_Jt
+and g = (1 + c)(1 + g_Jt u^-1)(1 - u a delta^-1) diag(u, delta).  It
+works on block values, with IdempotentFamily.block_mul, and inverts delta.
 
-Larger families recurse on the first block versus the rest, and the two
-out-of-order pieces are moved through the recursion.  W = st(v+ v- v+')
-and V = st(v+), the words of the recursion, are the identity on block t,
-so W^-1 (1 + x) W = 1 + x W_JJ for the row piece x in R_tJ and
-V^-1 (1 + y) V = 1 + V^-1_JJ y for the column piece y in R_Jt: one st
-image and one block product per nonempty piece.  The row and column
-letters are words.split_letters of x and y.  No n x n matrix is
-multiplied, added or inverted until the final check multiplies the
-factorization back.
+A forward pass runs the step for t = 1, ..., n - 1, each on the corner
+the one before left; the DiagonalElement of (u_1, ..., u_{n-1}, delta)
+inverts each d_t once.  A backward pass, t = n - 1, ..., 1, moves the
+two stray pieces past W = st(v+ v- v+') and V = st(v+), the words of the
+later steps, which are the identity on block t: the row piece
+x = -u a delta^-1 becomes x W_JJ = -u a D_J^-1, as the later steps factor
+delta as W_JJ D_J, and the column piece y = g_Jt u^-1 becomes V^-1_JJ y,
+with V^-1 a column buffer folded with the inverted c letters of each
+step.  No n x n matrix is multiplied, added or inverted until
+GaussFactorization.check multiplies the factorization back.
 """
 
 from __future__ import annotations
@@ -150,9 +150,10 @@ def _neg(fam, a):
 def _block_step(fam, g, t, J):
     """One two-block elimination of block t against the labels J.
 
-    Returns the block values (c, lower, upper2, u, delta): c and upper2
-    in R_tJ, lower in R_Jt, u in R_tt and delta in R_JJ, with
-    g = (1 + c)(1 + lower)(1 + upper2)(u + delta + 1 - e_t - e_J).
+    Returns the block values (c, g_Jt, u, ua, delta, delta_inv): c and
+    ua = -u a in R_tJ, g_Jt in R_Jt, u in R_tt, and delta and its inverse
+    in R_JJ, with
+    g = (1 + c)(1 + g_Jt u^-1)(1 + ua delta^-1)(u + delta + 1 - e_t - e_J).
     Every product is a block product: g(1 + a) changes only the J
     columns of g, and the other factors sit in one block each.
     """
@@ -166,48 +167,10 @@ def _block_step(fam, g, t, J):
         delta_inv = fam.corner_inv(delta, J)
     except NotInvertible:
         raise PivotSearchFailed("pivot did not make the corner invertible") from None
-    b = _neg(fam, mul(delta_inv, J, J, g_Jt, t))
-    u = _add(fam, g_tt, mul(g1_tJ, t, J, b, t))
-    try:
-        u_inv = fam.corner_inv(u, t)
-    except NotInvertible:
-        raise PivotSearchFailed("leading corner not invertible after clearing") from None
     c = mul(g1_tJ, t, J, delta_inv, J)
-    upper2 = _neg(fam, mul(mul(u, t, t, a, J), t, J, delta_inv, J))
-    lower = _neg(fam, mul(mul(delta, J, J, b, t), J, t, u_inv, t))
-    return c, lower, upper2, u, delta
-
-
-def _decompose_rec(fam, g, t):
-    """(w+ letters, w- letters, w+' letters, block values of d_t, ..., d_n)
-    for g, which is the identity outside the blocks t, ..., n."""
-    n = fam.n
-    if t == n:
-        return [], [], [], [fam.project(g, n, n)]
-    J = tuple(range(t + 1, n + 1))
-    c, lower, upper2, u, delta = _block_step(fam, g, t, J)
-    v_plus, v_minus, v_plus2, d = _decompose_rec(
-        fam, fam.write(fam.algebra.one, delta, J, J), t + 1
-    )
-    # move the stray pieces through the recursion: W = st(v+ v- v+') and
-    # V = st(v+) are the identity on block t, so W^-1 (1 + x) W = 1 + x W_JJ
-    # for x in R_tJ and V^-1 (1 + y) V = 1 + V^-1_JJ y for y in R_Jt
-    ctx = Context(fam)
-    mul = fam.block_mul
-    moved_plus2 = []
-    if not fam.is_zero(upper2):
-        W = fam.project(st_eval(Word(ctx, v_plus + v_minus + v_plus2)), J, J)
-        moved_plus2 = split_letters(fam, mul(upper2, t, J, W, J), (t,), J)
-    moved_minus = []
-    if not fam.is_zero(lower):
-        V_inv = fam.project(st_eval(Word(ctx, v_plus).inverse()), J, J)
-        moved_minus = split_letters(fam, mul(V_inv, J, J, lower, t), J, (t,))
-    return (
-        split_letters(fam, c, (t,), J) + v_plus,
-        moved_minus + v_minus,
-        v_plus2 + moved_plus2,
-        [u] + d,
-    )
+    u = _add(fam, g_tt, _neg(fam, mul(c, t, J, g_Jt, t)))
+    ua = _neg(fam, mul(u, t, t, a, J))
+    return c, g_Jt, u, ua, delta, delta_inv
 
 
 def gauss_decompose(fam, g):
@@ -219,14 +182,38 @@ def gauss_decompose(fam, g):
     alg = fam.algebra
     if not alg.is_unit(g):
         raise NotInvertible("element is not invertible")
+    n = fam.n
     ctx = Context(fam)
-    p1, m1, p2, d = _decompose_rec(fam, g, 1)
-    fac = GaussFactorization(
-        Word(ctx, tuple(p1)),
-        Word(ctx, tuple(m1)),
-        Word(ctx, tuple(p2)),
-        DiagonalElement(fam, d),
-    )
+    mul = fam.block_mul
+    plus, steps, d = [], [], []
+    corner = g
+    for t in range(1, n):
+        J = tuple(range(t + 1, n + 1))
+        c, g_Jt, u, ua, delta, _ = _block_step(fam, corner, t, J)
+        c_letters = split_letters(fam, c, (t,), J)
+        plus += c_letters
+        steps.append((t, J, c_letters, g_Jt, ua))
+        d.append(u)
+        corner = fam.write(alg.one, delta, J, J)
+    d.append(fam.project(corner, n, n))
+    diag = DiagonalElement(fam, d)
+    d_inv = diag.inverse_blocks
+    # V^-1 = st(v+)^-1 for v+ the c letters of the steps after t
+    v_inv = alg.columns(alg.one)
+    minus, plus2 = [], []
+    for t, J, c_letters, g_Jt, ua in reversed(steps):
+        # the row piece x W_JJ = ua D_J^-1; d_j^-1 is a unit, so zero pieces stay zero
+        plus2 += [
+            Letter(t, L.j, mul(L.a, t, L.j, d_inv[L.j - 1], L.j))
+            for L in split_letters(fam, ua, (t,), J)
+        ]
+        # the column piece V^-1_JJ y, y = g_Jt u^-1
+        if not fam.is_zero(g_Jt):
+            lower = mul(g_Jt, J, t, d_inv[t - 1], t)
+            V_inv = fam.project(alg.matrix(v_inv), J, J)
+            minus[:0] = split_letters(fam, mul(V_inv, J, J, lower, t), J, (t,))
+        alg.fold_columns(v_inv, fam.cell_table, Word(ctx, c_letters).inverse().letters)
+    fac = GaussFactorization(Word(ctx, plus), Word(ctx, minus), Word(ctx, plus2), diag)
     if not fac.check(g):
         raise SforgeError("internal error: factorization failed verification")
     return fac
@@ -275,7 +262,8 @@ def presentation_relation_check(fam, i, rng=None, samples=None, word_samples=0):
     pairs x_{i,i+1}(a) x_{i+1,i}(b) in front of a diagonal.
 
     Enumerates (or samples) corner units g, runs the two-block step, and
-    re-multiplies the alternating form with zero padding up to length 3.
+    checks its factorization g = st(x_ij(c)) st(x_ji(lower)) st(x_ij(upper2)) d:
+    the pairs (c, lower) and (upper2, 0), padded with a zero pair to three.
     When word_samples > 0 also generates alternating words of length 3
     and, whenever the image is diagonal, confirms it re-decomposes;
     gauss_decompose verifies its own factorization and raises otherwise.
@@ -283,8 +271,8 @@ def presentation_relation_check(fam, i, rng=None, samples=None, word_samples=0):
     alg = fam.algebra
     j = i + 1
     ctx = Context(fam)
-    zero_ij = (alg.base.zero,) * len(fam.cells(i, j))
-    zero_ji = (alg.base.zero,) * len(fam.cells(j, i))
+    mul = fam.block_mul
+    ones = [fam.project(alg.one, t, t) for t in fam.labels()]
     checked = skipped = 0
     diagonal_words = 0
     violations = []
@@ -295,14 +283,18 @@ def presentation_relation_check(fam, i, rng=None, samples=None, word_samples=0):
             continue
         checked += 1
         # the cells of (i, (j,)) are those of (i, j), so the values pass as they are
-        c, lower, upper2, u, delta = _block_step(fam, g, i, (j,))
-        pairs = [(c, lower), (upper2, zero_ji), (zero_ij, zero_ji)]
-        used = sum(1 for a, b in pairs if (a, b) != (zero_ij, zero_ji))
-        max_pairs = max(max_pairs, used)
-        letters = [L for a, b in pairs for L in (Letter(i, j, a), Letter(j, i, b))]
-        m = st_eval(Word(ctx, letters))
-        dd = fam.write(fam.write(alg.one, delta, j, j), u, i, i)
-        if alg.mul(m, dd) != g:
+        c, g_ji, u, ua, delta, delta_inv = _block_step(fam, g, i, (j,))
+        d = DiagonalElement(fam, ones[:i - 1] + [u, delta] + ones[j:])
+        lower = mul(g_ji, j, i, d.inverse_blocks[i - 1], i)
+        upper2 = mul(ua, i, j, delta_inv, j)
+        max_pairs = max(max_pairs, sum(not fam.is_zero(v) for v in (c + lower, upper2)))
+        fac = GaussFactorization(
+            Word(ctx, [Letter(i, j, c)]),
+            Word(ctx, [Letter(j, i, lower)]),
+            Word(ctx, [Letter(i, j, upper2)]),
+            d,
+        )
+        if not fac.check(g):
             violations.append(alg.element_to_json(g))
     if word_samples and rng is not None:
         for _ in range(word_samples):

@@ -115,9 +115,6 @@ class Zmod:
             raise NotInvertible("%d is not a unit modulo %d" % (a, self.m))
         return pow(a, -1, self.m)
 
-    def scalar_mul(self, s, a):
-        return (s * a) % self.m
-
     def residue_fields(self):
         """Pairs (field, project) covering the maximal ideals; CRT-combinable."""
         return [(Zmod(p), (lambda x, p=p: x % p)) for p in _prime_factors(self.m)]
@@ -331,9 +328,6 @@ class GF:
         if la is None:
             raise NotInvertible("zero is not invertible in GF(%d^%d)" % (self.p, self.deg))
         return self._exp[self.size - 1 - la]
-
-    def scalar_mul(self, s, a):
-        return self.mul(s, a)
 
     def residue_fields(self):
         return [(self, lambda x: x)]
@@ -572,31 +566,18 @@ class MatrixAlgebra:
         )
 
     def add(self, a, b):
-        m = self._mod
-        if m is not None:
-            return tuple(
-                tuple((x + y) % m for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-            )
         base = self.base
         return tuple(
             tuple(base.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
         )
 
     def sub(self, a, b):
-        m = self._mod
-        if m is not None:
-            return tuple(
-                tuple((x - y) % m for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-            )
         base = self.base
         return tuple(
             tuple(base.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
         )
 
     def neg(self, a):
-        m = self._mod
-        if m is not None:
-            return tuple(tuple(-x % m for x in row) for row in a)
         base = self.base
         return tuple(tuple(base.neg(x) for x in row) for row in a)
 
@@ -681,12 +662,12 @@ class MatrixAlgebra:
             return cols
         base = self.base
         zero = base.zero
-        add, mul, scalar_mul = base.add, base.mul, base.scalar_mul
+        add, mul = base.add, base.mul
         for i, j, a in letters:
             for (k, c), v in zip(cells[i][j], a):
                 if v == zero:
                     continue
-                sv = v if scale is None else scalar_mul(scale, v)
+                sv = v if scale is None else mul(scale, v)
                 col = [
                     y if x == zero else add(y, mul(x, sv))
                     for x, y in zip(cols[k], cols[c])
@@ -718,11 +699,8 @@ class MatrixAlgebra:
             )
 
     def scalar_mul(self, s, a):
-        m = self._mod
-        if m is not None:
-            return tuple(tuple((s * x) % m for x in row) for row in a)
         base = self.base
-        return tuple(tuple(base.scalar_mul(s, x) for x in row) for row in a)
+        return tuple(tuple(base.mul(s, x) for x in row) for row in a)
 
     def det(self, a):
         """The determinant, by elimination: O(n^3); the signed product of

@@ -124,7 +124,7 @@ class HomotopeTower:
     def scale_block(self, e, a):
         """The block values s^e * a of block values a."""
         s = self.scale(e)
-        mul = self.scalar.scalar_mul
+        mul = self.scalar.mul
         return tuple([mul(s, x) for x in a])
 
     def context(self, k):
@@ -254,7 +254,7 @@ class LocalizedTower:
     def _letters(self, w):
         """The letters psi(s^k a) over the localized ring of a level-k word w."""
         s = w.context.scale
-        mul = self.tower.scalar.scalar_mul
+        mul = self.tower.scalar.mul
         psi = self.scalar_loc.psi
         return [(i, j, [psi(mul(s, x)) for x in a]) for i, j, a in w.letters]
 
@@ -368,7 +368,7 @@ class DiagActor:
         self.block = block
         # lift of s^den * num^{-1} from the localized corner
         sd = sl.psi(tower.scale(den))
-        self.inv_block = tuple(sl.lift(sl.ring.scalar_mul(sd, x)) for x in inv_loc)
+        self.inv_block = tuple(sl.lift(sl.ring.mul(sd, x)) for x in inv_loc)
 
     def inverse(self):
         """d_i of the lifted localized inverse, at denominator zero."""

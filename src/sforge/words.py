@@ -347,7 +347,7 @@ def _relator(ctx, kind, first, second, fault=None):
         return x, y, x_neg, y_neg
     c = ctx.family.block_mul(x_neg.a, x.i, x.j, y.a, y.j)
     if ctx.scale is not None and fault != "drop-scale":
-        c = tuple([base.scalar_mul(ctx.scale, v) for v in c])
+        c = tuple([base.mul(ctx.scale, v) for v in c])
     return x, y, x_neg, y_neg, Letter(x.i, y.j, c)
 
 

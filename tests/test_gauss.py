@@ -376,6 +376,9 @@ def test_gauss_matches_the_dense_reference_on_samples(name):
     ids=["M4-GF9-units", "M6-Z4-[[0,1],[2,3],[4,5]]"],
 )
 def test_gauss_uses_dense_arithmetic_only_in_its_final_check(fam, monkeypatch):
+    """No n x n product, sum or inverse outside the final check, whose one
+    st_eval is the only one; corner inverses are the pivot corner of each
+    of the n - 1 steps and each of the n diagonal blocks, once."""
     alg = fam.algebra
     rng = random.Random(3)
     elements = [sample_gl(alg, rng) for _ in range(20)]
@@ -384,8 +387,7 @@ def test_gauss_uses_dense_arithmetic_only_in_its_final_check(fam, monkeypatch):
 
     def counted(name, original):
         def wrapper(self, *args):
-            if self is alg:
-                calls[name, bool(in_check)] += 1
+            calls[name if self is alg else "corner " + name, bool(in_check)] += 1
             return original(self, *args)
 
         return wrapper
@@ -402,8 +404,19 @@ def test_gauss_uses_dense_arithmetic_only_in_its_final_check(fam, monkeypatch):
             in_check.pop()
 
     monkeypatch.setattr(GaussFactorization, "check", check)
+    original_st_eval = st_eval
+
+    def counted_st_eval(w):
+        calls["st_eval", bool(in_check)] += 1
+        return original_st_eval(w)
+
+    monkeypatch.setattr("sforge.gauss.st_eval", counted_st_eval)
     for g in elements:
+        before = calls.copy()
         gauss_decompose(fam, g)
+        made = calls - before
+        assert made["st_eval", True] == 1 and made["st_eval", False] == 0
+        assert made["corner inv", False] == 2 * fam.n - 1 and made["corner inv", True] == 0
     assert calls["mul", True] == len(elements)
     assert calls["mul", False] == calls["add", False] == 0
     assert calls["inv", False] == calls["inv", True] == 0

@@ -164,7 +164,7 @@ def gamma(tower, k, q):
     n x n matrices, entry by entry: the oracle for LocalizedTower.image."""
     loc = tower.localized()
     s = tower.scale(k)
-    mul = tower.scalar.scalar_mul
+    mul = tower.scalar.mul
     psi = loc.scalar_loc.psi
     base = loc.algebra.base
     rows = [[psi(mul(s, x)) for x in row] for row in q]
